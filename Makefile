@@ -57,13 +57,12 @@ race:
 chaos:
 	$(GO) test -race -run 'Chaos|Failover' -count=1 ./internal/live/...
 
-# fuzz-wire exercises the live transport's inbound framing with random
-# byte streams (CI runs the seed corpus via plain go test): first the
-# legacy v1 length-prefix/gob path, then the v2 compact dialect
-# (varint frames, codec payloads, credit grants, gob fallback), then
-# the DHT RPC messages through the compact codec round-trip.
+# fuzz-wire exercises the live transport's inbound frame path with
+# random byte streams (varint frames, codec payloads, credit grants,
+# retired frame kinds), then the DHT RPC messages through the codec
+# round-trip. FuzzWireFrame drives the same inbound path from
+# framing-level seeds; plain go test (and CI) runs its seed corpus.
 fuzz-wire:
-	$(GO) test -run '^$$' -fuzz FuzzWireFrame -fuzztime 30s ./internal/live/
 	$(GO) test -run '^$$' -fuzz FuzzWireCodec -fuzztime 30s ./internal/live/
 	$(GO) test -run '^$$' -fuzz FuzzDHTMessages -fuzztime 30s ./internal/proto/
 
@@ -159,9 +158,10 @@ bench-trace:
 # All three ratchets run with a 50% tolerance: they time micro-scale
 # operations where shared-runner timer noise exceeds the default 20%
 # (observed min-of-N spread on a 1-core runner), and the regression
-# class they guard against — the compact codec silently degrading to
-# the gob fallback, an allocation landing on the per-message hot path —
-# shows up as 2-100x, not 1.2x.
+# class they guard against — a reflection-based encoder creeping back
+# onto the wire path, an allocation landing on the per-message hot
+# path — shows up as 2-100x, not 1.2x. The WireCodec gob-baseline rows
+# time a test-only gob encoder kept as context for the codec rows.
 bench: bin/p2pbench
 	./bin/p2pbench -regress -regress-bench AllocationFigure3 -regress-count 3 \
 		-regress-tolerance 0.5

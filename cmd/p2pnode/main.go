@@ -65,8 +65,6 @@ func main() {
 		scenOut     = flag.String("scenario-report", "", "with -scenario: write the machine-readable assertion report (JSON) here")
 		flushBudget = flag.Duration("flush-budget", time.Millisecond,
 			"max time one coalesced transport write may keep draining a busy send queue (negative disables coalescing)")
-		wireVersion = flag.Int("wire-version", 2,
-			"wire dialect to speak when sending: 2 = compact binary codec with credit flow, 1 = legacy per-frame gob (receivers always accept both)")
 	)
 	var faults faultFlag
 	flag.Var(&faults, "fault",
@@ -111,7 +109,6 @@ func main() {
 	opts := p2prm.LiveOptions{Seed: runSeed, Listen: *listen, RecordDir: *record,
 		Tracer: p2prm.NewTracer()}
 	opts.Transport.FlushBudget = *flushBudget
-	opts.Transport.WireVersion = *wireVersion
 	if *verbose {
 		opts.LogTo = os.Stderr
 	}

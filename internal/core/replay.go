@@ -1,9 +1,7 @@
 package core
 
 import (
-	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"fmt"
 	"hash"
 	"hash/fnv"
@@ -19,37 +17,31 @@ import (
 // same points. Both sides must hash exactly the same state in exactly
 // the same order, so everything here iterates maps via sorted keys.
 
-// replayInit is the gob payload of Peer.ReplayInit: the constructor
-// arguments New needs, minus Config and Events (supplied by the replay
-// harness, which knows the run's configuration).
-type replayInit struct {
-	Info      proto.PeerInfo
-	Bootstrap env.NodeID
-}
-
 // ReplayInit serializes the peer's construction parameters for the
 // flight recorder. It is callable before Init (the recorder logs it at
-// node start, ahead of the first handler).
+// node start, ahead of the first handler). The blob is a codec-encoded
+// Join envelope: Info is the peer's self-description and Hops carries
+// the bootstrap node, the one constructor argument Join has no field
+// for. Config and Events are supplied by the replay harness, which
+// knows the run's configuration.
 func (p *Peer) ReplayInit() []byte {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(replayInit{Info: p.info, Bootstrap: p.bootstrap}); err != nil {
-		// PeerInfo is a plain exported struct; encoding cannot fail short
-		// of a programming error, which the replay side surfaces as a
-		// factory divergence on the empty blob.
-		return nil
-	}
-	return buf.Bytes()
+	b, _ := proto.AppendMessage(nil, proto.Join{Info: p.info, Hops: int(p.bootstrap)})
+	return b
 }
 
 // NewFromReplayInit rebuilds a peer actor from a recorded ReplayInit
 // blob. cfg and events come from the harness: configuration is an input
 // of the run, not something the recorder captures.
 func NewFromReplayInit(cfg Config, data []byte, events *Events) (*Peer, error) {
-	var ri replayInit
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&ri); err != nil {
+	m, err := proto.DecodeMessage(data)
+	if err != nil {
 		return nil, fmt.Errorf("core: decoding replay init: %w", err)
 	}
-	return New(cfg, ri.Info, ri.Bootstrap, events), nil
+	j, ok := m.(proto.Join)
+	if !ok {
+		return nil, fmt.Errorf("core: replay init is a %T, want proto.Join", m)
+	}
+	return New(cfg, j.Info, env.NodeID(j.Hops), events), nil
 }
 
 // digestWriter accumulates an FNV-1a hash over typed fields.

@@ -27,8 +27,8 @@ const NoNode NodeID = -1
 
 // Message is any value sent between nodes. Messages must be treated as
 // immutable after sending: the simulated runtime delivers them by
-// reference. Messages crossing the TCP transport must be gob-encodable
-// and registered with proto.RegisterMessages.
+// reference. Messages crossing the TCP transport or recorded by the
+// flight recorder must be in the internal/proto codec's message set.
 type Message any
 
 // Sized lets a message declare its payload size for bandwidth modeling;

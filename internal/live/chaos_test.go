@@ -22,7 +22,6 @@ import (
 // runtime must detect the missed heartbeats and take over within the
 // deadline — the live analogue of the simulated RM-crash experiments.
 func TestChaosFailoverAcrossTransports(t *testing.T) {
-	proto.RegisterMessages()
 	cfg := core.DefaultConfig()
 	cfg.HeartbeatPeriod = 30 * sim.Millisecond
 	cfg.HeartbeatMisses = 3
@@ -138,7 +137,7 @@ func TestChaosBlackholedPeerSendNonBlocking(t *testing.T) {
 	start := time.Now()
 	rt.Call(id, func() {
 		for i := 0; i < sends; i++ {
-			a.ctx.Send(99, note{S: "into the void"})
+			a.ctx.Send(99, proto.TaskReject{Reason: "into the void"})
 		}
 	})
 	elapsed := time.Since(start)
@@ -190,11 +189,11 @@ func TestChaosSeveredLinkHeals(t *testing.T) {
 	rtB.AddNodeWithID(1, b)
 	trA.Register(1, addrB)
 
-	rtA.Call(0, func() { a.ctx.Send(1, note{S: "up"}) })
+	rtA.Call(0, func() { a.ctx.Send(1, proto.TaskReject{Reason: "up"}) })
 	waitFor(t, 2*time.Second, func() bool { return b.count() == 1 })
 
 	rtA.EnsureFaultInjector().Sever(0, 1)
-	rtA.Call(0, func() { a.ctx.Send(1, note{S: "cut"}) })
+	rtA.Call(0, func() { a.ctx.Send(1, proto.TaskReject{Reason: "cut"}) })
 	waitFor(t, 2*time.Second, func() bool { return trA.Stats().Drops["fault"] >= 1 })
 	if b.count() != 1 {
 		t.Fatal("severed link delivered")
@@ -203,7 +202,7 @@ func TestChaosSeveredLinkHeals(t *testing.T) {
 	rtA.FaultInjector().Heal(0, 1)
 	rtA.FaultInjector().Heal(1, 0)
 	waitFor(t, 2*time.Second, func() bool {
-		rtA.Call(0, func() { a.ctx.Send(1, note{S: "healed"}) })
+		rtA.Call(0, func() { a.ctx.Send(1, proto.TaskReject{Reason: "healed"}) })
 		return b.count() >= 2
 	})
 }

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/proto"
 	"repro/internal/rng"
 )
 
@@ -301,7 +302,7 @@ func TestFaultRulePrecedenceTCPOutbound(t *testing.T) {
 	trA.Register(1, addrB)
 	fi := rtA.EnsureFaultInjector()
 
-	send := func() { rtA.Call(0, func() { a.ctx.Send(1, note{S: "x"}) }) }
+	send := func() { rtA.Call(0, func() { a.ctx.Send(1, proto.TaskReject{Reason: "x"}) }) }
 
 	// Warm the path unimpaired first so drops below are unambiguous.
 	send()

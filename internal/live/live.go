@@ -1,9 +1,10 @@
 // Package live is the real-time runtime: the same node.Peer actors that
 // run under simulation execute here as goroutines with serialized
 // mailboxes, real timers, and a pluggable transport — in-process channels
-// within one process, TCP+gob across processes (see tcp.go). This is the
-// deployable middleware, not a second implementation: protocol logic
-// lives only in internal/core.
+// within one process, TCP carrying internal/proto codec frames across
+// processes (see tcp.go and wire.go). This is the deployable middleware,
+// not a second implementation: protocol logic lives only in
+// internal/core.
 //
 // # Flight recording
 //
@@ -338,8 +339,9 @@ func (rt *Runtime) Call(id env.NodeID, fn func()) bool {
 // CallNamed runs fn on the node's event loop like Call, additionally
 // logging the operation under name with an opaque argument blob when a
 // recorder is attached. A replay harness maps the name back to the
-// equivalent operation (e.g. "submit" -> Peer.SubmitTask with the
-// gob-decoded spec) and re-invokes it at the recorded point.
+// equivalent operation (e.g. "submit" -> Peer.SubmitTask with the spec
+// decoded from a codec-encoded TaskSubmit) and re-invokes it at the
+// recorded point.
 func (rt *Runtime) CallNamed(id env.NodeID, name string, arg []byte, fn func()) bool {
 	n := rt.node(id)
 	if n == nil {

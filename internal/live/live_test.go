@@ -34,6 +34,9 @@ func (c *collector) count() int {
 	return len(c.msgs)
 }
 
+// note is a payload outside the wire codec's message set: it travels
+// between in-process nodes only (the TCP transport drops it as
+// encode_error).
 type note struct{ S string }
 
 func waitFor(t *testing.T, timeout time.Duration, cond func() bool) {
@@ -117,7 +120,6 @@ func TestDuplicateIDPanics(t *testing.T) {
 }
 
 func TestTCPTransportRoundTrip(t *testing.T) {
-	proto.RegisterMessages()
 	// Two runtimes in one process connected by real TCP.
 	rtA := NewRuntime(6)
 	rtB := NewRuntime(7)

@@ -27,13 +27,14 @@ import (
 // never adds latency; it only amortizes write cost when messages are
 // already waiting.
 //
-// Credits — on a v2 connection the remote reader grants message/byte
-// credits back over the same socket (readGrants). Senders spend one
-// message credit per enqueue and batch-size byte credits per flush;
-// when either runs out, new sends shed at the source with reason
-// no_credit instead of overwhelming a slow receiver. Until the first
-// grant arrives the window is unlimited, which keeps v1 receivers
-// (which never grant) interoperable.
+// Credits — the remote reader grants message/byte credits back over
+// the same socket (readGrants). Senders spend one message credit per
+// enqueue and batch-size byte credits per flush; when either runs out,
+// new sends shed at the source with reason no_credit instead of
+// overwhelming a slow receiver. Until the first grant arrives the
+// window is unlimited, so a receiver with granting disabled
+// (CreditWindowMsgs or CreditWindowBytes negative) never throttles its
+// senders.
 type supervisor struct {
 	tr   *TCPTransport
 	addr string
@@ -58,7 +59,7 @@ type supervisor struct {
 	conn          net.Conn
 	everConnected bool
 	batch         []byte // coalesced frames, capacity reused across flushes
-	scratch       []byte // v2 body scratch, capacity reused across frames
+	scratch       []byte // frame body scratch, capacity reused across frames
 }
 
 // Supervisor circuit states.
@@ -100,16 +101,11 @@ func (s *supervisor) run() {
 	}
 }
 
-// appendMsg encodes one message onto the batch in the configured wire
-// dialect. Encode failures drop the message (counted) without
-// disturbing the batch.
+// appendMsg encodes one message onto the batch. Encode failures drop
+// the message (counted) without disturbing the batch.
 func (s *supervisor) appendMsg(wm wireMsg) bool {
 	var err error
-	if s.tr.cfg.WireVersion == 1 {
-		s.batch, err = appendFrameV1(s.batch, wm, s.tr.cfg.MaxFrame)
-	} else {
-		s.batch, err = appendFrameV2(s.batch, wm, s.tr.cfg.MaxFrame, &s.scratch)
-	}
+	s.batch, err = appendFrameV2(s.batch, wm, s.tr.cfg.MaxFrame, &s.scratch)
 	if err != nil {
 		s.tr.countDrop(DropEncodeError)
 		s.tr.logTransport(s.addr, "encode failed: "+err.Error())
@@ -185,16 +181,16 @@ func (s *supervisor) flush(first wireMsg) bool {
 // connect dials until a connection is up, backing off exponentially
 // with jitter from the supervisor's rng stream. It returns false when
 // the supervisor was told to quit. Once the circuit opens, retries slow
-// to the cooldown cadence; each retry is the half-open probe. On a v2
-// connection the preamble byte is written here and a grant reader is
-// attached before any frame flows.
+// to the cooldown cadence; each retry is the half-open probe. The
+// version byte is written here and a grant reader is attached before
+// any frame flows.
 func (s *supervisor) connect() bool {
 	cfg := s.tr.cfg
 	backoff := cfg.BackoffBase
 	fails := 0
 	for {
 		conn, err := cfg.Dial(s.addr, cfg.DialTimeout)
-		if err == nil && cfg.WireVersion != 1 {
+		if err == nil {
 			conn.SetWriteDeadline(time.Now().Add(cfg.WriteTimeout))
 			if _, werr := conn.Write([]byte{wireV2Preamble}); werr != nil {
 				conn.Close()
@@ -203,13 +199,11 @@ func (s *supervisor) connect() bool {
 		}
 		if err == nil {
 			s.conn = conn
-			if cfg.WireVersion != 1 {
-				// Fresh connection, fresh window: the receiver re-issues
-				// its initial grant for this socket.
-				s.resetCredits()
-				s.tr.wg.Add(1)
-				go s.readGrants(conn)
-			}
+			// Fresh connection, fresh window: the receiver re-issues its
+			// initial grant for this socket.
+			s.resetCredits()
+			s.tr.wg.Add(1)
+			go s.readGrants(conn)
 			reconnect := s.everConnected || fails > 0
 			s.everConnected = true
 			wasOpen := s.state.Swap(supHealthy) == supOpen

@@ -17,7 +17,7 @@ import (
 )
 
 // wireMsg is the unit carried over TCP (see wire.go for the framing).
-// Payload types must be registered via proto.RegisterMessages.
+// Payloads must be messages the proto codec encodes.
 type wireMsg struct {
 	From    env.NodeID
 	To      env.NodeID
@@ -32,7 +32,7 @@ type DropReason int
 const (
 	DropQueueFull   DropReason = iota // supervisor queue at capacity
 	DropCircuitOpen                   // peer circuit-broken after repeated dial failures
-	DropEncodeError                   // message would not gob-encode or exceeded MaxFrame
+	DropEncodeError                   // payload outside the wire codec or exceeded MaxFrame
 	DropWriteError                    // connection broke mid-write, retry failed
 	DropNoRoute                       // destination not in the address book
 	DropFault                         // discarded by the fault-injection layer
@@ -110,17 +110,11 @@ type TransportConfig struct {
 	// latency without adding any. Default 1ms; negative disables
 	// coalescing (one write per message).
 	FlushBudget time.Duration
-	// WireVersion selects the dialect this transport speaks when
-	// sending: 2 (default) is the compact binary framing with credit
-	// flow, 1 is the legacy per-frame gob. Receivers always accept
-	// both.
-	WireVersion int
 	// CreditWindowMsgs and CreditWindowBytes size the credit window this
-	// transport grants each inbound v2 connection. Senders shed with
+	// transport grants each inbound connection. Senders shed with
 	// reason no_credit once they exhaust the window, pushing overload
 	// back to the source. Defaults 8192 messages and 4 MiB; negative
-	// disables granting (remote senders then run uncapped, as with a v1
-	// receiver).
+	// disables granting (remote senders then run uncapped).
 	CreditWindowMsgs  int
 	CreditWindowBytes int
 	// Dial overrides the dialer (tests inject blackholed or failing
@@ -166,9 +160,6 @@ func (c TransportConfig) withDefaults() TransportConfig {
 	} else if c.FlushBudget < 0 {
 		c.FlushBudget = 0
 	}
-	if c.WireVersion == 0 {
-		c.WireVersion = 2
-	}
 	if c.CreditWindowMsgs == 0 {
 		c.CreditWindowMsgs = 8192
 	} else if c.CreditWindowMsgs < 0 {
@@ -199,8 +190,8 @@ var (
 // TCPTransport connects live runtimes across processes. Each process
 // hosts some node IDs locally and routes the rest through the address
 // book. Every remote address is owned by a connection supervisor
-// (supervisor.go); inbound connections are read through the
-// length-prefixed framing in wire.go.
+// (supervisor.go); inbound connections are read through the framing in
+// wire.go.
 type TCPTransport struct {
 	rt  *Runtime
 	cfg TransportConfig
@@ -350,13 +341,12 @@ func (t *TCPTransport) acceptLoop(ln net.Listener) {
 	}
 }
 
-// readLoop reads frames from one inbound connection. The sender's
-// first byte selects the dialect: wireV2Preamble starts a v2 stream,
-// anything else (a v1 length prefix always begins 0x00) replays the
-// legacy framing. Payload decode errors are counted and skipped — the
-// framing keeps the stream in sync — while framing violations and
-// read-deadline expiry close the connection (the sender's supervisor
-// redials on demand).
+// readLoop reads frames from one inbound connection. A connection that
+// does not open with the version byte wireV2Preamble is closed and
+// counted as a frame error. Payload decode errors are counted and
+// skipped — the framing keeps the stream in sync — while framing
+// violations and read-deadline expiry close the connection (the
+// sender's supervisor redials on demand).
 func (t *TCPTransport) readLoop(c net.Conn) {
 	defer t.wg.Done()
 	defer func() {
@@ -372,39 +362,15 @@ func (t *TCPTransport) readLoop(c net.Conn) {
 	if t.cfg.ReadIdleTimeout > 0 {
 		c.SetReadDeadline(time.Now().Add(t.cfg.ReadIdleTimeout))
 	}
-	first, err := br.Peek(1)
+	first, err := br.ReadByte()
 	if err != nil {
 		return
 	}
-	if first[0] == wireV2Preamble {
-		br.ReadByte()
-		t.readLoopV2(c, br)
+	if first != wireV2Preamble {
+		t.noteFrameError(c, fmt.Errorf("live: connection opened with 0x%02x, not the version byte 0x%02x", first, wireV2Preamble))
 		return
 	}
-	t.readLoopV1(c, br)
-}
-
-// readLoopV1 is the legacy framing: 4-byte length prefix, gob payload.
-func (t *TCPTransport) readLoopV1(c net.Conn, br *bufio.Reader) {
-	var buf []byte
-	for {
-		if t.cfg.ReadIdleTimeout > 0 {
-			c.SetReadDeadline(time.Now().Add(t.cfg.ReadIdleTimeout))
-		}
-		payload, err := readFrameBuf(br, t.cfg.MaxFrame, buf)
-		if err != nil {
-			t.noteFrameError(c, err)
-			return
-		}
-		buf = payload
-		wm, err := decodeFrame(payload)
-		if err != nil {
-			t.noteDecodeError(c, err)
-			continue
-		}
-		t.noteFrameRx()
-		t.rt.Inject(wm.From, wm.To, wm.Payload)
-	}
+	t.readLoopV2(c, br)
 }
 
 // readLoopV2 is the compact framing (wire.go). The reader is also the
@@ -452,17 +418,10 @@ func (t *TCPTransport) readLoopV2(c net.Conn, br *bufio.Reader) {
 			}
 			t.noteFrameRx()
 			t.rt.Inject(wm.From, wm.To, wm.Payload)
-		case frameDataGob:
-			wm, err := decodeFrame(body[1:])
-			if err != nil {
-				t.noteDecodeError(c, err)
-				break
-			}
-			t.noteFrameRx()
-			t.rt.Inject(wm.From, wm.To, wm.Payload)
 		default:
-			// Unknown (or misdirected credit) frame kind: the framing is
-			// still in sync, so count it and keep the connection.
+			// Unknown, retired or misdirected credit frame kind: the
+			// framing is still in sync, so count it and keep the
+			// connection.
 			t.noteDecodeError(c, fmt.Errorf("live: unexpected v2 frame kind 0x%02x", body[0]))
 		}
 		// Credit accounting counts every frame read, decodable or not —

@@ -1,13 +1,18 @@
 package live
 
 import (
+	"bufio"
+	"bytes"
 	"encoding/binary"
+	"encoding/gob"
 	"errors"
 	"net"
 	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/proto"
 )
 
 // fastTransport returns a config with short timeouts for tests that
@@ -43,7 +48,7 @@ func TestSupervisorReconnectsAfterPeerRestart(t *testing.T) {
 	rtB.AddNodeWithID(1, b)
 	trA.Register(1, addrB)
 
-	rtA.Call(0, func() { a.ctx.Send(1, note{S: "before"}) })
+	rtA.Call(0, func() { a.ctx.Send(1, proto.TaskReject{Reason: "before"}) })
 	waitFor(t, 2*time.Second, func() bool { return b.count() == 1 })
 
 	// Kill the peer's transport, then bring a new one up on the same
@@ -58,7 +63,7 @@ func TestSupervisorReconnectsAfterPeerRestart(t *testing.T) {
 	// The first sends after the restart may be consumed by the dead
 	// connection's kernel buffer; keep sending until one lands.
 	waitFor(t, 5*time.Second, func() bool {
-		rtA.Call(0, func() { a.ctx.Send(1, note{S: "after"}) })
+		rtA.Call(0, func() { a.ctx.Send(1, proto.TaskReject{Reason: "after"}) })
 		return b.count() >= 2
 	})
 	if st := trA.Stats(); st.Reconnects < 1 {
@@ -96,12 +101,12 @@ func TestCircuitBreakerOpensAndRecovers(t *testing.T) {
 
 	// First send parks in the supervisor, which fails CircuitThreshold
 	// dials and opens the circuit.
-	rtA.Call(0, func() { a.ctx.Send(1, note{S: "held"}) })
+	rtA.Call(0, func() { a.ctx.Send(1, proto.TaskReject{Reason: "held"}) })
 	waitFor(t, 5*time.Second, func() bool { return trA.Stats().CircuitOpens == 1 })
 
 	// While open, new sends fail fast with reason circuit_open.
 	waitFor(t, 5*time.Second, func() bool {
-		rtA.Call(0, func() { a.ctx.Send(1, note{S: "shed"}) })
+		rtA.Call(0, func() { a.ctx.Send(1, proto.TaskReject{Reason: "shed"}) })
 		return trA.Stats().Drops["circuit_open"] >= 1
 	})
 	if b.count() != 0 {
@@ -113,7 +118,7 @@ func TestCircuitBreakerOpensAndRecovers(t *testing.T) {
 	healthy.Store(true)
 	waitFor(t, 5*time.Second, func() bool { return b.count() >= 1 })
 	waitFor(t, 5*time.Second, func() bool {
-		rtA.Call(0, func() { a.ctx.Send(1, note{S: "resumed"}) })
+		rtA.Call(0, func() { a.ctx.Send(1, proto.TaskReject{Reason: "resumed"}) })
 		return b.count() >= 2
 	})
 	if st := trA.Stats(); st.Connects < 1 {
@@ -132,8 +137,11 @@ func TestTransportEncodeErrorDropsMessage(t *testing.T) {
 	rt.AddNodeWithID(0, a)
 	tr.Register(1, "127.0.0.1:1") // never dialed: encode fails first
 
-	rt.Call(0, func() { a.ctx.Send(1, note{S: strings.Repeat("x", 4096)}) })
+	rt.Call(0, func() { a.ctx.Send(1, proto.TaskReject{Reason: strings.Repeat("x", 4096)}) })
 	waitFor(t, 2*time.Second, func() bool { return tr.Stats().Drops["encode_error"] == 1 })
+	// A payload outside the wire codec drops the same way.
+	rt.Call(0, func() { a.ctx.Send(1, note{S: "local only"}) })
+	waitFor(t, 2*time.Second, func() bool { return tr.Stats().Drops["encode_error"] == 2 })
 }
 
 func TestTransportNoRouteDrop(t *testing.T) {
@@ -144,10 +152,37 @@ func TestTransportNoRouteDrop(t *testing.T) {
 	a := &collector{}
 	rt.AddNodeWithID(0, a)
 
-	rt.Call(0, func() { a.ctx.Send(99, note{S: "nowhere"}) })
+	rt.Call(0, func() { a.ctx.Send(99, proto.TaskReject{Reason: "nowhere"}) })
 	waitFor(t, 2*time.Second, func() bool { return tr.Stats().Drops["no_route"] == 1 })
 	if rt.Dropped() != 1 {
 		t.Fatalf("runtime dropped = %d, want 1", rt.Dropped())
+	}
+}
+
+// dialInbound opens a raw connection to a listening transport, for
+// tests that script the inbound byte stream by hand.
+func dialInbound(t *testing.T, addr string) net.Conn {
+	t.Helper()
+	c, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { c.Close() })
+	return c
+}
+
+// requireHangup fails unless the transport has closed c.
+func requireHangup(t *testing.T, c net.Conn) {
+	t.Helper()
+	c.SetReadDeadline(time.Now().Add(2 * time.Second))
+	br := bufio.NewReader(c)
+	for {
+		if _, err := br.ReadByte(); err != nil {
+			if ne, ok := err.(net.Error); ok && ne.Timeout() {
+				t.Fatal("connection still open after a framing violation")
+			}
+			return
+		}
 	}
 }
 
@@ -163,26 +198,88 @@ func TestInboundDecodeErrorKeepsConnection(t *testing.T) {
 	b := &collector{}
 	rt.AddNodeWithID(1, b)
 
-	c, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	// A well-framed frame whose payload is garbage must cost exactly one
-	// message — the next frame on the same connection still delivers.
-	if _, err := c.Write([]byte{0, 0, 0, 4, 0xde, 0xad, 0xbe, 0xef}); err != nil {
-		t.Fatal(err)
-	}
-	frame, err := encodeFrame(wireMsg{From: 0, To: 1, Payload: note{S: "alive"}}, DefaultMaxFrame)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Write(frame); err != nil {
+	c := dialInbound(t, addr)
+	// A well-framed data frame whose body is garbage must cost exactly
+	// one message — the next frame on the same connection still
+	// delivers.
+	stream := []byte{wireV2Preamble, 5, frameData, 0xde, 0xad, 0xbe, 0xef}
+	stream = append(stream, dataFrame(t, 0, 1, proto.TaskReject{Reason: "alive"})...)
+	if _, err := c.Write(stream); err != nil {
 		t.Fatal(err)
 	}
 	waitFor(t, 2*time.Second, func() bool { return b.count() == 1 })
 	if st := tr.Stats(); st.DecodeErrors != 1 || st.FramesRx != 1 {
 		t.Fatalf("stats = %+v", st)
+	}
+}
+
+func init() {
+	// The legacy frame in TestInboundRetiredGobFrameKindKeepsConnection
+	// is built with gob, which needs the payload's concrete type.
+	gob.Register(proto.TaskReject{})
+}
+
+func TestInboundRetiredGobFrameKindKeepsConnection(t *testing.T) {
+	rt := NewRuntime(50)
+	defer rt.Shutdown()
+	tr := NewTCPTransport(rt)
+	defer tr.Close()
+	addr, err := tr.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := &collector{}
+	rt.AddNodeWithID(1, b)
+
+	c := dialInbound(t, addr)
+	// Kind 0x02 carried a self-contained gob wireMsg. Even a well-formed
+	// one must be counted and skipped, never decoded: the sender would
+	// otherwise choose the types the receiver's decoder runs on.
+	var legacy bytes.Buffer
+	legacy.WriteByte(0x02)
+	if err := gob.NewEncoder(&legacy).Encode(wireMsg{From: 0, To: 1, Payload: proto.TaskReject{Reason: "legacy"}}); err != nil {
+		t.Fatal(err)
+	}
+	stream := binary.AppendUvarint([]byte{wireV2Preamble}, uint64(legacy.Len()))
+	stream = append(stream, legacy.Bytes()...)
+	stream = append(stream, dataFrame(t, 0, 1, proto.TaskReject{Reason: "next"})...)
+	if _, err := c.Write(stream); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, 2*time.Second, func() bool { return b.count() == 1 })
+	if st := tr.Stats(); st.DecodeErrors != 1 || st.FramesRx != 1 || st.FrameErrors != 0 {
+		t.Fatalf("stats = %+v, want 1 decode error, 1 frame delivered, 0 frame errors", st)
+	}
+	b.mu.Lock()
+	got := b.msgs[0].(proto.TaskReject).Reason
+	b.mu.Unlock()
+	if got != "next" {
+		t.Fatalf("delivered %q, want the frame after the retired one", got)
+	}
+}
+
+func TestInboundWithoutVersionByteClosesConnection(t *testing.T) {
+	rt := NewRuntime(51)
+	defer rt.Shutdown()
+	tr := NewTCPTransport(rt)
+	defer tr.Close()
+	addr, err := tr.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := &collector{}
+	rt.AddNodeWithID(1, b)
+
+	c := dialInbound(t, addr)
+	// What a version-1 sender opened with: a 4-byte big-endian length
+	// prefix, then the frame.
+	if _, err := c.Write([]byte{0, 0, 0, 5, 1, 2, 3, 4, 5}); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, 2*time.Second, func() bool { return tr.Stats().FrameErrors == 1 })
+	requireHangup(t, c)
+	if st := tr.Stats(); st.FrameErrors != 1 || st.FramesRx != 0 || st.DecodeErrors != 0 || b.count() != 0 {
+		t.Fatalf("stats = %+v, delivered %d; want exactly one frame error and nothing injected", st, b.count())
 	}
 }
 
@@ -198,22 +295,13 @@ func TestInboundOversizedFrameClosesConnection(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	c, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	var hdr [frameHeaderLen]byte
-	binary.BigEndian.PutUint32(hdr[:], 1<<30)
-	if _, err := c.Write(hdr[:]); err != nil {
+	c := dialInbound(t, addr)
+	if _, err := c.Write(binary.AppendUvarint([]byte{wireV2Preamble}, 1<<30)); err != nil {
 		t.Fatal(err)
 	}
 	waitFor(t, 2*time.Second, func() bool { return tr.Stats().FrameErrors == 1 })
 	// The reader must have hung up rather than trying to resync.
-	c.SetReadDeadline(time.Now().Add(2 * time.Second))
-	if _, err := c.Read(make([]byte, 1)); err == nil {
-		t.Fatal("connection still open after framing violation")
-	}
+	requireHangup(t, c)
 }
 
 func TestTransportClosedRejectsSends(t *testing.T) {
@@ -225,7 +313,7 @@ func TestTransportClosedRejectsSends(t *testing.T) {
 	tr.Register(1, "127.0.0.1:1")
 	tr.Close()
 	before := rt.Dropped()
-	rt.Call(0, func() { a.ctx.Send(1, note{S: "too late"}) })
+	rt.Call(0, func() { a.ctx.Send(1, proto.TaskReject{Reason: "too late"}) })
 	waitFor(t, 2*time.Second, func() bool { return rt.Dropped() == before+1 })
 }
 

@@ -3,7 +3,6 @@ package live
 import (
 	"bufio"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
@@ -12,27 +11,16 @@ import (
 	"repro/internal/proto"
 )
 
-// This file is the live transport's wire format, two dialects of it:
-//
-// v1 — a 4-byte big-endian length prefix followed by a self-contained
-// gob encoding of one wireMsg. The prefix lets the reader bound every
-// allocation before touching the gob decoder, and making each frame a
-// fresh gob stream keeps frames independently decodable: a corrupt
-// payload costs one message, not the decoder state of the connection.
-//
-// v2 — a connection opens with one preamble byte (wireV2Preamble),
-// then carries uvarint-length-prefixed frames: [uvarint len][u8 frame
-// kind][body]. Data frames encode the routing pair as varints and the
-// payload with the zero-alloc proto codec (frameData) or, for types
-// outside the core set, a self-contained gob stream (frameDataGob).
-// Credit frames (frameCredit) flow the other way on the same
-// connection: the receiver grants message/byte credits the sender's
-// supervisor spends (supervisor.go).
-//
-// Negotiation is the preamble byte: a v1 frame always begins 0x00 (a
-// big-endian length below 16 MiB), so the receiver peeks one byte and
-// speaks whichever dialect the sender declared. Receivers accept both;
-// TransportConfig.WireVersion selects what a sender speaks.
+// This file is the live transport's wire format, version 2. A
+// connection opens with one version byte (wireV2Preamble), then carries
+// uvarint-length-prefixed frames: [uvarint len][u8 frame kind][body].
+// Data frames (frameData) encode the routing pair as varints and the
+// payload with the zero-alloc proto codec; payload types outside the
+// codec's message set cannot be sent and drop at the sender as
+// encode_error. Credit frames (frameCredit) flow the other way on the
+// same connection: the receiver grants message/byte credits the
+// sender's supervisor spends (supervisor.go). A connection that opens
+// with any other byte is closed and counted as a frame error.
 
 // DefaultMaxFrame bounds one frame's payload; frames larger than the
 // limit are refused on both the encode and decode side. The largest
@@ -40,21 +28,15 @@ import (
 // paper scale, so 8 MiB leaves generous headroom.
 const DefaultMaxFrame = 8 << 20
 
-// frameHeaderLen is the v1 length-prefix size.
-const frameHeaderLen = 4
-
-// wireV2Preamble is the first byte of a v2 connection. Any value that a
-// v1 frame cannot start with works; v1 length prefixes start 0x00 for
-// every frame under 16 MiB.
+// wireV2Preamble is the version byte that opens every connection.
 const wireV2Preamble = 0xB2
 
-// v2 frame kinds (first byte of every v2 frame body).
+// Frame kinds (first byte of every frame body). 0x02 carried a gob
+// payload in an earlier version of the format; it is retired and must
+// not be reused.
 const (
 	// frameData: varint from, varint to, one proto-codec message.
 	frameData = 0x01
-	// frameDataGob: a self-contained gob wireMsg, for payload types
-	// outside the core codec set.
-	frameDataGob = 0x02
 	// frameCredit: uvarint message credits, uvarint byte credits;
 	// written by the receiving side of a connection back to the sender.
 	frameCredit = 0x03
@@ -68,123 +50,23 @@ const maxCreditFrame = 32
 // transport's limit. The connection cannot be resynchronized past it.
 var errFrameTooLarge = errors.New("live: frame exceeds size limit")
 
-// sliceWriter adapts an append-grown []byte to io.Writer so gob can
-// encode into pooled buffers without a bytes.Buffer allocation.
-type sliceWriter struct{ b []byte }
+// errUnencodable marks a payload whose type the proto codec does not
+// know; the supervisor drops it as encode_error.
+var errUnencodable = errors.New("live: payload type not in the wire codec")
 
-func (w *sliceWriter) Write(p []byte) (int, error) {
-	w.b = append(w.b, p...)
-	return len(p), nil
-}
-
-// appendFrameV1 appends wm to dst as one v1 length-prefixed gob frame.
-// dst's spare capacity is reused across calls — the steady-state v1
-// path allocates only what gob itself allocates.
-func appendFrameV1(dst []byte, wm wireMsg, maxFrame int) ([]byte, error) {
-	start := len(dst)
-	sw := sliceWriter{b: append(dst, make([]byte, frameHeaderLen)...)}
-	if err := gob.NewEncoder(&sw).Encode(wm); err != nil {
-		return dst, err
-	}
-	n := len(sw.b) - start - frameHeaderLen
-	if maxFrame > 0 && n > maxFrame {
-		return dst, fmt.Errorf("%w: %d > %d bytes", errFrameTooLarge, n, maxFrame)
-	}
-	binary.BigEndian.PutUint32(sw.b[start:], uint32(n))
-	return sw.b, nil
-}
-
-// encodeFrame renders wm as one v1 frame ready to write.
-func encodeFrame(wm wireMsg, maxFrame int) ([]byte, error) {
-	return appendFrameV1(nil, wm, maxFrame)
-}
-
-// readFrameBuf reads one v1 length-prefixed payload from r into buf
-// (grown as needed, reused across calls). Frame-level errors (short
-// reads, oversized declarations) are unrecoverable for the stream;
-// payload corruption is left for decodeFrame to report so the caller
-// can keep the connection.
-func readFrameBuf(r io.Reader, maxFrame int, buf []byte) ([]byte, error) {
-	var hdr [frameHeaderLen]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, err
-	}
-	n := binary.BigEndian.Uint32(hdr[:])
-	if maxFrame > 0 && n > uint32(maxFrame) {
-		return nil, fmt.Errorf("%w: declared %d > %d bytes", errFrameTooLarge, n, maxFrame)
-	}
-	if uint32(cap(buf)) < n {
-		buf = make([]byte, n)
-	}
-	buf = buf[:n]
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return nil, err
-	}
-	return buf, nil
-}
-
-// readFrame reads one v1 length-prefixed payload from r.
-func readFrame(r io.Reader, maxFrame int) ([]byte, error) {
-	return readFrameBuf(r, maxFrame, nil)
-}
-
-// decodeFrame decodes one frame payload produced by encodeFrame (or a
-// v2 gob-fallback body).
-func decodeFrame(payload []byte) (wireMsg, error) {
-	var wm wireMsg
-	err := gob.NewDecoder(newByteReader(payload)).Decode(&wm)
-	return wm, err
-}
-
-// byteReader is a pooled-friendly replacement for bytes.NewReader on
-// the decode path: decodeFrame is called once per inbound frame and a
-// bytes.Reader would be one allocation per message.
-type byteReader struct {
-	b   []byte
-	pos int
-}
-
-func newByteReader(b []byte) *byteReader { return &byteReader{b: b} }
-
-func (r *byteReader) Read(p []byte) (int, error) {
-	if r.pos >= len(r.b) {
-		return 0, io.EOF
-	}
-	n := copy(p, r.b[r.pos:])
-	r.pos += n
-	return n, nil
-}
-
-func (r *byteReader) ReadByte() (byte, error) {
-	if r.pos >= len(r.b) {
-		return 0, io.EOF
-	}
-	c := r.b[r.pos]
-	r.pos++
-	return c, nil
-}
-
-// appendFrameV2 appends wm to dst as one v2 frame: core-set payloads
-// through the proto codec, everything else as a gob fallback body.
-// scratch holds the frame body between calls so the length prefix can
-// be sized exactly; both buffers' capacity is reused across calls and
-// the core-set path allocates nothing.
+// appendFrameV2 appends wm to dst as one data frame. scratch holds the
+// frame body between calls so the length prefix can be sized exactly;
+// both buffers' capacity is reused across calls and the steady-state
+// path allocates nothing.
 func appendFrameV2(dst []byte, wm wireMsg, maxFrame int, scratch *[]byte) ([]byte, error) {
 	body := append((*scratch)[:0], frameData)
 	body = binary.AppendVarint(body, int64(wm.From))
 	body = binary.AppendVarint(body, int64(wm.To))
 	body, ok := proto.AppendMessage(body, wm.Payload)
-	if !ok {
-		// Not in the core set: self-contained gob wireMsg, one tag byte
-		// of v2 framing around the v1 encoding idiom.
-		sw := sliceWriter{b: append((*scratch)[:0], frameDataGob)}
-		if err := gob.NewEncoder(&sw).Encode(wm); err != nil {
-			*scratch = sw.b
-			return dst, err
-		}
-		body = sw.b
-	}
 	*scratch = body
+	if !ok {
+		return dst, fmt.Errorf("%w: %T", errUnencodable, wm.Payload)
+	}
 	if maxFrame > 0 && len(body) > maxFrame {
 		return dst, fmt.Errorf("%w: %d > %d bytes", errFrameTooLarge, len(body), maxFrame)
 	}
@@ -192,7 +74,7 @@ func appendFrameV2(dst []byte, wm wireMsg, maxFrame int, scratch *[]byte) ([]byt
 	return append(dst, body...), nil
 }
 
-// appendCreditFrame appends one v2 credit grant to dst.
+// appendCreditFrame appends one credit grant to dst.
 func appendCreditFrame(dst []byte, msgs, bytes uint64) []byte {
 	var body [1 + 2*binary.MaxVarintLen64]byte
 	b := append(body[:0], frameCredit)
@@ -202,8 +84,11 @@ func appendCreditFrame(dst []byte, msgs, bytes uint64) []byte {
 	return append(dst, b...)
 }
 
-// readFrameV2 reads one uvarint-length-prefixed v2 frame body from r
-// into buf (grown as needed, reused across calls).
+// readFrameV2 reads one uvarint-length-prefixed frame body from r into
+// buf (grown as needed, reused across calls). Frame-level errors (short
+// reads, oversized declarations) are unrecoverable for the stream;
+// payload corruption is left for decodeFrameV2Data to report so the
+// caller can keep the connection.
 func readFrameV2(r *bufio.Reader, maxFrame int, buf []byte) ([]byte, error) {
 	n, err := binary.ReadUvarint(r)
 	if err != nil {

@@ -10,10 +10,8 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/env"
 	"repro/internal/proto"
-	"repro/internal/sim"
 )
 
 func TestWireV2FrameRoundTrip(t *testing.T) {
@@ -39,28 +37,17 @@ func TestWireV2FrameRoundTrip(t *testing.T) {
 	}
 }
 
-func TestWireV2GobFallbackRoundTrip(t *testing.T) {
-	// note is not in the codec's core set, so the frame must degrade to
-	// a self-contained gob body and still round-trip.
+func TestWireV2EncodeRejectsUnencodable(t *testing.T) {
+	// note is outside the codec's message set: the frame is refused and
+	// dst is left as it was, so the supervisor can drop just this message.
 	var scratch []byte
-	in := wireMsg{From: 1, To: 2, Payload: note{S: "fallback"}}
-	frame, err := appendFrameV2(nil, in, DefaultMaxFrame, &scratch)
-	if err != nil {
-		t.Fatal(err)
+	dst := []byte{0xaa}
+	out, err := appendFrameV2(dst, wireMsg{From: 1, To: 2, Payload: note{S: "local only"}}, DefaultMaxFrame, &scratch)
+	if !errors.Is(err, errUnencodable) {
+		t.Fatalf("err = %v, want errUnencodable", err)
 	}
-	body, err := readFrameV2(bufio.NewReader(bytes.NewReader(frame)), DefaultMaxFrame, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if body[0] != frameDataGob {
-		t.Fatalf("frame kind = %#x, want frameDataGob", body[0])
-	}
-	out, err := decodeFrame(body[1:])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.From != 1 || out.To != 2 || out.Payload.(note).S != "fallback" {
-		t.Fatalf("round trip mangled message: %#v", out)
+	if !bytes.Equal(out, dst) {
+		t.Fatalf("dst changed on rejected encode: %x", out)
 	}
 }
 
@@ -98,24 +85,17 @@ func TestWireV2ReadRejectsOversizedDeclaration(t *testing.T) {
 	}
 }
 
-// FuzzWireCodec feeds arbitrary byte streams through the inbound v2
-// framing path (readFrameV2 + per-kind decode in a loop, as readLoopV2
-// does). No input may panic, allocate what a hostile length declares,
-// or wedge the reader. Frames that decode to a core message must also
-// satisfy the codec's round-trip stability property: re-encoding the
-// decoded message and decoding it again yields byte-identical bytes.
+// FuzzWireCodec fuzzes the inbound frame path (readInbound) from one
+// data frame per message kind, each also truncated, plus credit and
+// retired-kind frames and hostile framing.
 func FuzzWireCodec(f *testing.F) {
-	var scratch []byte
 	seed := func(m env.Message) {
-		frame, err := appendFrameV2(nil, wireMsg{From: 1, To: 2, Payload: m}, DefaultMaxFrame, &scratch)
-		if err != nil {
-			f.Fatal(err)
-		}
+		frame := dataFrame(f, 1, 2, m)
 		f.Add(frame)
 		f.Add(frame[:len(frame)/2]) // truncation
 	}
-	// Every kind in the core set, zero-valued, plus richer shapes for
-	// the hot-path messages and the gob fallback.
+	// Every kind in the message set, zero-valued, plus richer shapes for
+	// the hot-path messages.
 	for _, m := range []env.Message{
 		proto.Join{}, proto.JoinRedirect{}, proto.JoinAccept{}, proto.BecomeRM{},
 		proto.Leave{}, proto.HeartbeatReq{}, proto.HeartbeatAck{}, proto.ProfileUpdate{},
@@ -125,7 +105,7 @@ func FuzzWireCodec(f *testing.F) {
 		proto.HeartbeatReq{Seq: 1 << 40, Backup: 3},
 		proto.Chunk{TaskID: "t", Generation: 1, Index: 9, SizeKBv: 96.5, Deadline: 1, Emitted: 2},
 		proto.GossipDigest{From: proto.RMRef{Domain: 1, RM: 2}, Versions: map[proto.DomainID]uint64{1: 4, 9: 2}},
-		note{S: "gob fallback"},
+		proto.FindNode{}, proto.FindValue{}, proto.Store{}, proto.Nodes{}, proto.Providers{},
 	} {
 		seed(m)
 	}
@@ -134,133 +114,8 @@ func FuzzWireCodec(f *testing.F) {
 	f.Add([]byte{3, frameData, 0x80, 0x80}) // truncated varint routing
 	f.Add([]byte{2, frameCredit, 0xff})     // malformed credit body
 	f.Add([]byte{0})                        // empty frame
-
-	f.Fuzz(func(t *testing.T, data []byte) {
-		br := bufio.NewReader(bytes.NewReader(data))
-		var buf []byte
-		const maxFrame = 1 << 16
-		// Every iteration consumes at least the length uvarint's first
-		// byte, so the loop is bounded by len(data); cap it as a guard.
-		for i := 0; i <= len(data)+1; i++ {
-			body, err := readFrameV2(br, maxFrame, buf)
-			if err != nil {
-				return // stream over or unrecoverable: readLoop closes
-			}
-			buf = body
-			if len(body) == 0 {
-				return // readLoopV2 closes on an empty frame
-			}
-			switch body[0] {
-			case frameData:
-				wm, err := decodeFrameV2Data(body)
-				if err != nil {
-					continue // errors here keep the connection
-				}
-				enc1, ok := proto.AppendMessage(nil, wm.Payload)
-				if !ok {
-					t.Fatalf("decoded %T but cannot re-encode it", wm.Payload)
-				}
-				m2, err := proto.DecodeMessage(enc1)
-				if err != nil {
-					t.Fatalf("re-encoded %T does not decode: %v", wm.Payload, err)
-				}
-				enc2, _ := proto.AppendMessage(nil, m2)
-				if !bytes.Equal(enc1, enc2) {
-					t.Fatalf("%T: re-encoding is not byte-stable", wm.Payload)
-				}
-			case frameDataGob:
-				decodeFrame(body[1:])
-			case frameCredit:
-				decodeCreditFrame(body)
-			}
-		}
-		t.Fatalf("reader failed to make progress on %d bytes", len(data))
-	})
-}
-
-// TestWireInteropV1V2Session runs the real protocol stack across two
-// runtimes speaking different wire dialects: the founder's transport is
-// pinned to the legacy v1 gob framing while the joiners' transport
-// speaks v2. Join, heartbeat and profile traffic must flow cleanly in
-// both directions — the mixed-fleet upgrade scenario.
-func TestWireInteropV1V2Session(t *testing.T) {
-	proto.RegisterMessages()
-	cfg := core.DefaultConfig()
-	cfg.HeartbeatPeriod = 30 * sim.Millisecond
-	cfg.HeartbeatMisses = 3
-	cfg.ProfilePeriod = 50 * sim.Millisecond
-	cfg.BackupSyncPeriod = 60 * sim.Millisecond
-	cfg.GossipPeriod = 0
-	cfg.AdaptPeriod = 0
-
-	eventsA := &core.Events{}
-	eventsB := &core.Events{}
-	rtA := NewRuntime(70)
-	rtB := NewRuntime(71)
-	defer rtA.Shutdown()
-	defer rtB.Shutdown()
-	tcfgA := fastTransport()
-	tcfgA.WireVersion = 1 // legacy node
-	trA := NewTCPTransportOpts(rtA, tcfgA, nil, nil)
-	trB := NewTCPTransportOpts(rtB, fastTransport(), nil, nil) // v2 node
-	defer trA.Close()
-	defer trB.Close()
-	addrA, err := trA.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	addrB, err := trB.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	trA.Register(1, addrB)
-	trA.Register(2, addrB)
-	trB.Register(0, addrA)
-
-	mk := func() proto.PeerInfo {
-		return proto.PeerInfo{SpeedWU: 50, BandwidthKbps: 10000, UptimeSec: 7200}
-	}
-	founder := core.New(cfg, mk(), env.NoNode, eventsA)
-	p1 := core.New(cfg, mk(), 0, eventsB)
-	p2 := core.New(cfg, mk(), 0, eventsB)
-	rtA.AddNodeWithID(0, founder)
-	rtB.AddNodeWithID(1, p1)
-	rtB.AddNodeWithID(2, p2)
-
-	peersB := []*core.Peer{p1, p2}
-	waitFor(t, 10*time.Second, func() bool {
-		joined := 0
-		ok := false
-		rtA.Call(0, func() { ok = founder.Joined() })
-		if ok {
-			joined++
-		}
-		for i, p := range peersB {
-			p := p
-			ok := false
-			rtB.Call(env.NodeID(i+1), func() { ok = p.Joined() })
-			if ok {
-				joined++
-			}
-		}
-		return joined == 3
-	})
-
-	// Let heartbeats and profile updates cross the version boundary for
-	// a while, then require both directions decoded everything cleanly.
-	time.Sleep(300 * time.Millisecond)
-	stA, stB := trA.Stats(), trB.Stats()
-	if stA.FramesRx == 0 || stB.FramesRx == 0 {
-		t.Fatalf("no traffic in one direction: A rx %d, B rx %d", stA.FramesRx, stB.FramesRx)
-	}
-	if stA.DecodeErrors+stA.FrameErrors+stB.DecodeErrors+stB.FrameErrors != 0 {
-		t.Fatalf("mixed-version session corrupted frames: A %+v, B %+v", stA, stB)
-	}
-	// The v1 sender must never have been credit-capped: a v1 receiver
-	// grants nothing, and grants only restrict once received.
-	if stA.Drops["no_credit"]+stB.Drops["no_credit"] != 0 {
-		t.Fatalf("interop session shed on credits: A %+v, B %+v", stA, stB)
-	}
+	f.Add([]byte{3, 0x02, 0x0e, 0xff})      // retired gob frame kind
+	f.Fuzz(readInbound)
 }
 
 // TestCreditExhaustionShedsAtSource scripts the receiving side of a v2

@@ -1,9 +1,9 @@
 package proto
 
-// Wire codec v2: a compact, hand-rolled binary encoding for the core
-// message set. The live transport's v1 format pays gob per frame — a
-// self-contained stream whose type descriptors are resent with every
-// message — which dominates the TCP hot path. v2 spends one tag byte
+// Wire codec: a compact, hand-rolled binary encoding for the protocol
+// message set, and the only encoding used wherever a message leaves
+// memory (the live transport's frames, the flight recorder's delivery
+// payloads and its node-start and submit blobs). It spends one tag byte
 // per message kind, varints for integers (the same idiom as
 // internal/replay's P2PRLOG2 framing), fixed 8-byte IEEE bits for
 // floats, and inlines TraceContext as two varint u64s (a zero context
@@ -14,13 +14,12 @@ package proto
 // Layout per message: [u8 kind][fields in struct order]. Strings and
 // byte blobs are length-prefixed (uvarint); slices and maps are
 // count-prefixed. Map entries are emitted in sorted key order so equal
-// messages encode to equal bytes (gob does not guarantee this — it is
-// why replay compares sends structurally). Empty slices and maps decode
-// to nil, matching gob's treatment of zero-value fields.
+// messages encode to equal bytes. Empty slices and maps decode to nil.
 //
 // The set of kind tags is append-only: tags are wire format, never
-// renumber them. Types outside the core set (tests, future extensions)
-// are carried by the live transport's gob-fallback frame instead.
+// renumber them. Types outside the set cannot leave memory: the live
+// transport drops them as encode_error and the recorder logs a typed
+// marker that replay reports as a divergence.
 
 import (
 	"encoding/binary"
@@ -63,10 +62,8 @@ const (
 	kindProviders        = 0x19
 )
 
-// AppendMessage appends the v2 encoding of m to b and reports whether
-// m's concrete type is in the core set. ok=false leaves b unchanged;
-// the caller falls back to gob (the transport's gob-fallback frame, the
-// recorder's shared gob stream).
+// AppendMessage appends the encoding of m to b and reports whether m's
+// concrete type is in the message set. ok=false leaves b unchanged.
 func AppendMessage(b []byte, m env.Message) ([]byte, bool) {
 	switch v := m.(type) {
 	case Join:

@@ -147,17 +147,26 @@ func sampleKey(fill byte) DHTKey {
 }
 
 func TestCodecRoundTrip(t *testing.T) {
+	seen := make(map[byte]bool)
 	for _, m := range codecSamples() {
 		enc, ok := AppendMessage(nil, m)
 		if !ok {
 			t.Fatalf("%T not in the core set", m)
 		}
+		seen[enc[0]] = true
 		dec, err := DecodeMessage(enc)
 		if err != nil {
 			t.Fatalf("%T: decode: %v", m, err)
 		}
 		if !reflect.DeepEqual(dec, m) {
 			t.Fatalf("%T round trip mangled message:\n in: %#v\nout: %#v", m, m, dec)
+		}
+	}
+	// The codec is the only encoding a message has, so every kind must
+	// be exercised here.
+	for k := byte(kindJoin); k <= kindProviders; k++ {
+		if !seen[k] {
+			t.Errorf("message kind %#x has no round-trip sample", k)
 		}
 	}
 }
@@ -237,8 +246,7 @@ func TestCodecHostileCounts(t *testing.T) {
 }
 
 // TestCodecDeterministicMaps re-encodes map-bearing messages many times:
-// sorted-key emission must make every encoding byte-identical (gob does
-// not guarantee this; replay and the recorder rely on it).
+// sorted-key emission must make every encoding byte-identical.
 func TestCodecDeterministicMaps(t *testing.T) {
 	msgs := []env.Message{
 		ProfileUpdate{Report: profiler.Report{

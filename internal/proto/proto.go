@@ -1,11 +1,11 @@
 // Package proto defines the wire messages exchanged by peers and Resource
 // Managers (§4). The same message structs travel over the simulated
-// network (by reference) and over the live TCP transport (gob-encoded;
-// see RegisterMessages).
+// network (by reference) and, encoded by this package's codec
+// (codec.go), over the live TCP transport and into the flight
+// recorder's log.
 package proto
 
 import (
-	"encoding/gob"
 	"fmt"
 
 	"repro/internal/env"
@@ -151,8 +151,7 @@ type TakeoverAnnounce struct {
 // seeds; the propagated context makes stitching robust even when seeds
 // diverge). Trace is the task's session span id; Parent references the
 // phase of the sender that caused this message (trace.PhaseRef). The
-// zero value means "untraced" and costs nothing on the wire: gob omits
-// zero-value fields.
+// zero value means "untraced" and costs two bytes on the wire.
 type TraceContext struct {
 	Trace  uint64 // session span id (0 = untraced)
 	Parent uint64 // causally preceding phase ref (0 = root)
@@ -430,35 +429,10 @@ type Providers struct {
 	IDs    []env.NodeID
 }
 
-// RegisterMessages registers every message type with encoding/gob for the
-// live TCP transport. Call once per process.
-func RegisterMessages() {
-	gob.Register(Join{})
-	gob.Register(JoinRedirect{})
-	gob.Register(JoinAccept{})
-	gob.Register(BecomeRM{})
-	gob.Register(Leave{})
-	gob.Register(HeartbeatReq{})
-	gob.Register(HeartbeatAck{})
-	gob.Register(ProfileUpdate{})
-	gob.Register(BackupSync{})
-	gob.Register(TakeoverAnnounce{})
-	gob.Register(TaskSubmit{})
-	gob.Register(TaskReject{})
-	gob.Register(GraphCompose{})
-	gob.Register(ComposeAck{})
-	gob.Register(SessionStart{})
-	gob.Register(Chunk{})
-	gob.Register(SessionAbort{})
-	gob.Register(SessionEnd{})
-	gob.Register(GossipDigest{})
-	gob.Register(GossipSummaries{})
-	gob.Register(FindNode{})
-	gob.Register(FindValue{})
-	gob.Register(Store{})
-	gob.Register(Nodes{})
-	gob.Register(Providers{})
-}
+// RegisterMessages does nothing: the codec (codec.go) encodes every
+// message in this package without registration. It remains so existing
+// callers keep compiling.
+func RegisterMessages() {}
 
 // String implements fmt.Stringer for log readability.
 func (s SessionDesc) String() string {

@@ -1,14 +1,10 @@
 package proto
 
 import (
-	"bytes"
-	"encoding/gob"
-	"fmt"
 	"strings"
 	"testing"
 
 	"repro/internal/env"
-	"repro/internal/media"
 )
 
 func TestQualifies(t *testing.T) {
@@ -88,60 +84,3 @@ func TestChunkSized(t *testing.T) {
 		t.Fatalf("SizeKB = %v", sized.SizeKB())
 	}
 }
-
-// TestGobRoundTrip pushes one of every message through gob — what the
-// live TCP transport does — and checks a payload survives.
-func TestGobRoundTrip(t *testing.T) {
-	RegisterMessages()
-	f := media.Format{Codec: media.MPEG2, Width: 800, Height: 600, BitrateKbps: 512}
-	msgs := []any{
-		Join{Info: PeerInfo{SpeedWU: 5, Objects: []media.Object{{Name: "m", Format: f}}}, Hops: 1},
-		JoinRedirect{Target: 3, Reason: "full"},
-		JoinAccept{Domain: 2, RM: 1, Backup: 4, Peers: []env.NodeID{5, 6}},
-		BecomeRM{NewDomain: 9, KnownRMs: []RMRef{{Domain: 0, RM: 1}}},
-		Leave{},
-		HeartbeatReq{Seq: 7, Backup: 2},
-		HeartbeatAck{Seq: 7},
-		BackupSync{State: DomainState{Domain: 1, Version: 3}},
-		TakeoverAnnounce{Domain: 1, NewRM: 2, Backup: 3},
-		TaskSubmit{Spec: TaskSpec{ID: "t", ObjectName: "m", DeadlineMicros: 5}},
-		TaskReject{TaskID: "t", Reason: "nope"},
-		GraphCompose{Session: SessionDesc{TaskID: "t", NumChunks: 3}, Role: RoleSource},
-		ComposeAck{TaskID: "t", Role: 1, Generation: 2},
-		SessionStart{TaskID: "t", Generation: 2},
-		Chunk{TaskID: "t", Index: 1, SizeKBv: 3.5, NextStage: 2},
-		SessionAbort{TaskID: "t", Generation: 1, Reason: "x"},
-		SessionEnd{Report: SessionReport{TaskID: "t", Chunks: 3, Missed: 1}},
-		GossipDigest{From: RMRef{Domain: 1, RM: 2}, Versions: map[DomainID]uint64{1: 2}},
-		GossipSummaries{Summaries: []DomainSummary{{Domain: 1, Version: 2, ObjectBloom: []byte{1, 2}}}},
-	}
-	for i, m := range msgs {
-		var buf bytes.Buffer
-		if err := gob.NewEncoder(&buf).Encode(&m); err != nil {
-			t.Fatalf("msg %d (%T): encode: %v", i, m, err)
-		}
-		var out any
-		if err := gob.NewDecoder(&buf).Decode(&out); err != nil {
-			t.Fatalf("msg %d (%T): decode: %v", i, m, err)
-		}
-		if got, want := typeOf(out), typeOf(m); got != want {
-			t.Fatalf("msg %d: type %s != %s", i, got, want)
-		}
-	}
-	// Spot-check payload integrity.
-	var buf bytes.Buffer
-	var in any = Chunk{TaskID: "x", Index: 5, SizeKBv: 9.25, Deadline: 123456}
-	if err := gob.NewEncoder(&buf).Encode(&in); err != nil {
-		t.Fatal(err)
-	}
-	var out any
-	if err := gob.NewDecoder(&buf).Decode(&out); err != nil {
-		t.Fatal(err)
-	}
-	c := out.(Chunk)
-	if c.TaskID != "x" || c.Index != 5 || c.SizeKBv != 9.25 || c.Deadline != 123456 {
-		t.Fatalf("chunk round trip = %+v", c)
-	}
-}
-
-func typeOf(v any) string { return fmt.Sprintf("%T", v) }

@@ -3,13 +3,13 @@ package replay_test
 // BenchmarkDeliver measures the flight recorder's cost on the message
 // hot path in two regimes:
 //
-//   - local: same-runtime delivery (mailbox → dispatch) at saturation,
-//     millions of messages per second. This isolates the hot-path
-//     handoff cost — one struct copy into the writer queue — and shows
-//     the recorder's load-shedding behaviour: the single writer
-//     goroutine gob-encodes out of band and drops (counted, surfaced in
-//     meta.json and live_replay_dropped_total) once its queue fills,
-//     rather than ever stalling delivery.
+//   - local: same-runtime delivery (mailbox → dispatch) of protocol
+//     heartbeats at saturation, millions of messages per second. This
+//     isolates the hot-path handoff cost — one struct copy into the
+//     writer queue — and shows the recorder's load-shedding behaviour:
+//     the single writer goroutine codec-encodes out of band and drops
+//     (counted, surfaced in meta.json and live_replay_dropped_total)
+//     once its queue fills, rather than ever stalling delivery.
 //
 //   - tcp: the deployed hot path — two runtimes joined over loopback
 //     TCP, a windowed request/echo stream through the real wire codec.
@@ -21,7 +21,6 @@ package replay_test
 // Run with: go test ./internal/replay/ -run xxx -bench BenchmarkDeliver
 
 import (
-	"encoding/gob"
 	"runtime"
 	"sync/atomic"
 	"testing"
@@ -32,12 +31,9 @@ import (
 	"repro/internal/replay"
 )
 
-type benchMsg struct{ N int }
-
-func init() {
-	gob.Register(benchMsg{})
-	proto.RegisterMessages()
-}
+// kickMsg starts the tcp benchmark's pump; it is injected locally and
+// never crosses the wire.
+type kickMsg struct{}
 
 // sinkActor counts deliveries and signals done at a target count.
 type sinkActor struct {
@@ -102,7 +98,7 @@ func benchLocal(b *testing.B, recording bool) {
 		for int64(i)-sink.received.Load() >= injectWindow {
 			runtime.Gosched()
 		}
-		rt.Inject(dst, dst, benchMsg{N: i})
+		rt.Inject(dst, dst, proto.HeartbeatReq{Seq: uint64(i)})
 	}
 	<-sink.done
 	b.StopTimer()
@@ -121,9 +117,8 @@ const echoWindow = 64
 
 // pumpActor drives the tcp benchmark from inside node 0's loop: it
 // keeps echoWindow requests outstanding and counts echoes until target.
-// The wire payloads are real protocol heartbeats so the benchmark
-// exercises the deployed codec path (compact v2 encoding), not the
-// gob fallback reserved for foreign types.
+// The wire payloads are real protocol heartbeats, as every payload that
+// crosses the transport must be.
 type pumpActor struct {
 	ctx    env.Context
 	target int
@@ -136,7 +131,7 @@ func (a *pumpActor) Init(ctx env.Context) { a.ctx = ctx }
 func (a *pumpActor) Stop()                {}
 func (a *pumpActor) Receive(from env.NodeID, m env.Message) {
 	switch m.(type) {
-	case benchMsg: // kick: open the window
+	case kickMsg: // open the window
 		for a.sent < a.target && a.sent < echoWindow {
 			a.ctx.Send(1, proto.HeartbeatReq{Seq: uint64(a.sent)})
 			a.sent++
@@ -197,7 +192,7 @@ func benchTCP(b *testing.B, recording bool) {
 
 	b.ReportAllocs()
 	b.ResetTimer()
-	rtA.Inject(0, 0, benchMsg{N: -1}) // kick
+	rtA.Inject(0, 0, kickMsg{})
 	<-pump.done
 	b.StopTimer()
 

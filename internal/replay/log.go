@@ -1,11 +1,12 @@
 // Package replay is the flight-recorder subsystem for the live runtime:
 // it records every nondeterministic input a live node observes — message
-// deliveries (with gob payload bytes), timer firings with their logical
-// deadlines, node start/stop/kill, named calls, fault-injector decisions
-// and per-node RNG seeds — to a length-prefixed, CRC-framed binary event
-// log, and re-executes a recorded log on the deterministic sim scheduler
-// (internal/sim), detecting the first point where the replayed run
-// diverges from the recording.
+// deliveries (with their internal/proto codec bytes), timer firings with
+// their logical deadlines, node start/stop/kill, named calls,
+// fault-injector decisions and per-node RNG seeds — to a
+// length-prefixed, CRC-framed binary event log, and re-executes a
+// recorded log on the deterministic sim scheduler (internal/sim),
+// detecting the first point where the replayed run diverges from the
+// recording.
 //
 // The package implements live.Recorder structurally; it depends only on
 // env/rng/sim/trace/proto, so internal/live never imports it and no
@@ -16,7 +17,6 @@ package replay
 import (
 	"bufio"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -37,11 +37,9 @@ const (
 	KStart Kind = iota + 1
 	// KDeliver: a message was dispatched to a node's actor. Node, Peer
 	// (sender), Time; Name = concrete Go type. Aux selects the payload
-	// encoding of Data: 0 = a segment of the log's shared gob message
-	// stream, 1 = the payload was not gob-encodable (Data empty), 2 = a
-	// standalone compact blob in the internal/proto wire codec (core
-	// protocol messages; several times smaller than gob); see
-	// Log.DecodeMessages.
+	// encoding of Data: auxCodec = a standalone blob in the
+	// internal/proto wire codec, auxUnencodable = the payload was outside
+	// the codec's message set (Data empty); see Event.Message.
 	KDeliver
 	// KTimer: a timer callback fired. Node, Time; Aux = per-node timer
 	// ID; Aux2 = logical deadline micros.
@@ -65,6 +63,14 @@ const (
 	// KDigest: a periodic state-digest checkpoint. Node, Time; Aux =
 	// digest.
 	KDigest
+)
+
+// KDeliver payload encodings (Event.Aux). Aux=0 marked a segment of a
+// log-wide gob stream written by earlier recorders; it is no longer
+// decodable and must not be reused.
+const (
+	auxUnencodable = 1
+	auxCodec       = 2
 )
 
 // String names the kind for reports.
@@ -103,22 +109,27 @@ type Event struct {
 	Aux2 int64
 	Name string
 	Data []byte
+}
 
-	// Msg is the decoded KDeliver payload, populated by DecodeMessages
-	// after the frames are read; it is never serialized into the log.
-	Msg env.Message
+// Message decodes a KDeliver event's payload. Every payload is a
+// standalone codec blob, so a damaged payload fails only its own event.
+func (e *Event) Message() (env.Message, error) {
+	switch e.Aux {
+	case auxCodec:
+		return proto.DecodeMessage(e.Data)
+	case auxUnencodable:
+		return nil, fmt.Errorf("recorded %s payload was outside the internal/proto codec's message set, so only its type name was logged", e.Name)
+	case 0:
+		return nil, fmt.Errorf("recorded %s payload is a segment of a gob payload stream, which is no longer supported; re-record the run", e.Name)
+	}
+	return nil, fmt.Errorf("recorded %s payload has unknown encoding %d", e.Name, e.Aux)
 }
 
 // Log framing: the file opens with an 8-byte magic, then one frame per
 // event: u32 payload length, u32 CRC-32 (IEEE) of the payload, payload.
-// KDeliver message payloads are segments of one gob stream spanning the
-// whole log in frame order — type descriptors are transmitted once per
-// message type, not once per event, which is what keeps the recorder's
-// writer goroutine ahead of the message rate. The price is that message
-// decoding is sequential from the start of the log (DecodeMessages); a
-// truncated final frame (crash mid-write) is tolerated and surfaced via
-// Log.Truncated, while a CRC mismatch is corruption and fails the read
-// with the frame index.
+// A truncated final frame (crash mid-write) is tolerated and surfaced
+// via Log.Truncated, while a CRC mismatch is corruption and fails the
+// read with the frame index.
 const (
 	logMagic = "P2PRLOG2"
 	// maxEventFrame bounds one frame so a corrupted length field cannot
@@ -266,65 +277,6 @@ func ReadLog(r io.Reader) (*Log, error) {
 		lg.Events = append(lg.Events, ev)
 		offset += 8 + int64(length)
 	}
-}
-
-// segmentReader feeds the concatenated KDeliver payload segments to a
-// gob decoder in frame order, reconstructing the writer's message stream.
-type segmentReader struct {
-	segs [][]byte
-	pos  int
-}
-
-func (r *segmentReader) Read(p []byte) (int, error) {
-	for len(r.segs) > 0 && r.pos == len(r.segs[0]) {
-		r.segs = r.segs[1:]
-		r.pos = 0
-	}
-	if len(r.segs) == 0 {
-		return 0, io.EOF
-	}
-	n := copy(p, r.segs[0][r.pos:])
-	r.pos += n
-	return n, nil
-}
-
-// DecodeMessages decodes every KDeliver payload into Event.Msg.
-// Compact payloads (Aux = 2) are standalone and decode independently
-// via the internal/proto wire codec. Gob payloads (Aux = 0) form one
-// gob stream across the log, so they must be decoded front to back —
-// callers must have gob-registered the message types first
-// (proto.RegisterMessages for the protocol set). Events whose payload
-// was unencodable at record time (Aux = 1) are skipped; the replayer
-// reports those as a divergence when they are reached.
-func (lg *Log) DecodeMessages() error {
-	sr := &segmentReader{}
-	for i := range lg.Events {
-		e := &lg.Events[i]
-		if e.Kind == KDeliver && e.Aux == 0 {
-			sr.segs = append(sr.segs, e.Data)
-		}
-	}
-	dec := gob.NewDecoder(sr)
-	for i := range lg.Events {
-		e := &lg.Events[i]
-		if e.Kind != KDeliver || e.Aux == 1 {
-			continue
-		}
-		if e.Aux == 2 {
-			m, err := proto.DecodeMessage(e.Data)
-			if err != nil {
-				return fmt.Errorf("replay: decoding compact message for event %d (%s): %w", i, e.Name, err)
-			}
-			e.Msg = m
-			continue
-		}
-		var box msgBox
-		if err := dec.Decode(&box); err != nil {
-			return fmt.Errorf("replay: decoding message for event %d (%s): %w", i, e.Name, err)
-		}
-		e.Msg = box.M
-	}
-	return nil
 }
 
 // ReadLogFile parses the event log at path.

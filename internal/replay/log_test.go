@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/env"
+	"repro/internal/proto"
 )
 
 // writeSampleLog records one event of every kind and closes the log.
@@ -19,8 +20,8 @@ func writeSampleLog(t *testing.T, dir string) *Recorder {
 		t.Fatalf("NewRecorder: %v", err)
 	}
 	rec.RecordStart(1, 0, 42, []byte("init-blob"))
-	rec.RecordDeliver(1, 2, 500, pingMsg{N: 7})
-	rec.RecordSend(1, 2, 500, pongMsg{N: 8})
+	rec.RecordDeliver(1, 2, 500, proto.HeartbeatReq{Seq: 7})
+	rec.RecordSend(1, 2, 500, proto.HeartbeatAck{Seq: 8})
 	rec.RecordTimer(1, 1000, 1, 1000)
 	rec.RecordCall(1, 1200, "submit", []byte("arg"))
 	rec.RecordFault(2, 1, 1300, true, false, 250)
@@ -58,14 +59,15 @@ func TestLogRoundTrip(t *testing.T) {
 		t.Fatalf("start event mismatch: %+v", e)
 	}
 	e = lg.Events[1]
-	if e.Kind != KDeliver || e.Peer != 2 || e.Time != 500 || e.Name != MessageType(pingMsg{}) {
+	if e.Kind != KDeliver || e.Peer != 2 || e.Time != 500 || e.Name != MessageType(proto.HeartbeatReq{}) {
 		t.Fatalf("deliver event mismatch: %+v", e)
 	}
-	if err := lg.DecodeMessages(); err != nil {
-		t.Fatalf("DecodeMessages: %v", err)
+	m, err := e.Message()
+	if err != nil {
+		t.Fatalf("decoding payload: %v", err)
 	}
-	if p, ok := lg.Events[1].Msg.(pingMsg); !ok || p.N != 7 {
-		t.Fatalf("decoded payload = %#v, want pingMsg{7}", lg.Events[1].Msg)
+	if p, ok := m.(proto.HeartbeatReq); !ok || p.Seq != 7 || e.Aux != auxCodec {
+		t.Fatalf("decoded payload = %#v (aux %d), want HeartbeatReq{Seq: 7} (aux %d)", m, e.Aux, auxCodec)
 	}
 	e = lg.Events[3]
 	if e.Kind != KTimer || e.Aux != 1 || e.Aux2 != 1000 {

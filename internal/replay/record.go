@@ -2,8 +2,6 @@ package replay
 
 import (
 	"bufio"
-	"bytes"
-	"encoding/gob"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -16,16 +14,10 @@ import (
 	"repro/internal/proto"
 )
 
-// msgBox wraps a message payload so gob can encode the env.Message
-// interface value behind a concrete struct field. Message types must be
-// gob-registered (proto.RegisterMessages does this for the protocol set).
-type msgBox struct {
-	M env.Message
-}
-
-// MessageType names a message's concrete Go type; sends are compared by
-// (destination, type name) during replay because gob encodes maps in
-// nondeterministic key order, making payload bytes unstable run-to-run.
+// MessageType names a message's concrete Go type. Sends are logged and
+// compared by (destination, type name) only: that is enough to place a
+// divergence, keeps send events small, and spares the writer an encode
+// per send; payload-level drift surfaces at the next digest checkpoint.
 func MessageType(m env.Message) string { return fmt.Sprintf("%T", m) }
 
 // recorderQueueDepth bounds the in-flight event buffer between the node
@@ -67,7 +59,7 @@ func ReadMeta(dir string) (Meta, error) {
 // runtime's Recorder interface structurally. Record* methods are safe
 // for concurrent use and never block: the hot path only copies the
 // event header and the message reference into a bounded channel; all
-// encoding (gob payloads, type names, framing, CRC) happens on the
+// encoding (codec payloads, type names, framing, CRC) happens on the
 // single writer goroutine. Overflow increments Dropped instead of
 // stalling callers.
 //
@@ -86,7 +78,6 @@ type Recorder struct {
 	bytes     atomic.Uint64
 	dropped   atomic.Uint64
 	traceSeed atomic.Uint64
-	forceGob  atomic.Bool
 
 	mu     sync.Mutex
 	closed bool
@@ -129,12 +120,6 @@ func (r *Recorder) Dir() string { return r.dir }
 // written into meta.json at Close for the replayer to adopt.
 func (r *Recorder) SetTraceSeed(seed uint64) { r.traceSeed.Store(seed) }
 
-// ForceGobPayloads makes the writer skip the compact v2 payload
-// encoding and log every delivery through the legacy shared gob stream.
-// Replay accepts both, so this exists only to measure the size delta
-// between the encodings on identical runs.
-func (r *Recorder) ForceGobPayloads() { r.forceGob.Store(true) }
-
 // Counters returns (events enqueued, payload bytes written, events
 // dropped) so far. Safe to call concurrently with recording; the byte
 // count trails the event count by whatever the writer has queued.
@@ -160,21 +145,14 @@ type pending struct {
 // far under recorderQueueDepth at any rate the writer can sustain.
 const writerPoll = 100 * time.Microsecond
 
-// writeLoop is the single writer goroutine; it owns the gob message
-// stream (one encoder for the life of the log, so type descriptors are
-// paid once per type) and all framing. The channel is never closed —
-// Close enqueues a stop sentinel instead, so concurrent emit calls can
-// never hit a closed channel; a late emit either lands after the
-// sentinel (ignored) or takes the drop path once the queue fills.
+// writeLoop is the single writer goroutine; it owns all payload
+// encoding and framing. The channel is never closed — Close enqueues a
+// stop sentinel instead, so concurrent emit calls can never hit a
+// closed channel; a late emit either lands after the sentinel (ignored)
+// or takes the drop path once the queue fills.
 func (r *Recorder) writeLoop() {
 	defer close(r.done)
-	var (
-		msgBuf    bytes.Buffer
-		enc       = gob.NewEncoder(&msgBuf)
-		encBroken bool
-		frame     []byte
-		v2buf     []byte
-	)
+	var frame, payload []byte
 	for {
 		var p pending
 		select {
@@ -193,31 +171,20 @@ func (r *Recorder) writeLoop() {
 		if p.m != nil {
 			e.Name = MessageType(p.m)
 			if e.Kind == KDeliver {
-				// Core protocol payloads take the compact v2 codec: a
-				// standalone, independently decodable Data blob (Aux=2),
-				// several times smaller than its gob stream segment.
-				// Payloads outside the core set fall back to the shared
-				// gob stream (Aux=0); unencodable payloads (unregistered
-				// types) degrade to a typed marker (Aux=1) so replay
-				// reports the gap instead of silently skipping. A failed
-				// Encode may have emitted partial stream bytes, so all
-				// later payloads degrade too.
-				if b, ok := proto.AppendMessage(v2buf[:0], p.m); ok && !r.forceGob.Load() {
-					v2buf = b
-					e.Aux = 2
+				// Each payload is a standalone internal/proto codec blob,
+				// decodable on its own. A payload outside the codec's
+				// message set degrades to a typed marker so replay reports
+				// the gap instead of silently skipping it.
+				if b, ok := proto.AppendMessage(payload[:0], p.m); ok {
+					payload = b
+					e.Aux = auxCodec
 					e.Data = b
-				} else if encBroken {
-					e.Aux = 1
-				} else if err := enc.Encode(msgBox{M: p.m}); err != nil {
-					e.Aux = 1
-					encBroken = true
 				} else {
-					e.Data = msgBuf.Bytes()
+					e.Aux = auxUnencodable
 				}
 			}
 		}
 		frame = marshalEvent(e, frame)
-		msgBuf.Reset()
 		if err := writeFrame(r.bw, frame); err != nil {
 			r.werr = err
 		}
@@ -243,8 +210,8 @@ func (r *Recorder) RecordStart(node env.NodeID, nowMicros int64, seed uint64, in
 }
 
 // RecordDeliver implements live.Recorder. The message is handed to the
-// writer by reference (immutable once sent); the writer gob-encodes it
-// into the log's shared message stream.
+// writer by reference (immutable once sent); the writer encodes it with
+// the internal/proto codec.
 func (r *Recorder) RecordDeliver(node, from env.NodeID, nowMicros int64, m env.Message) {
 	r.emit(Event{Kind: KDeliver, Node: int64(node), Peer: int64(from), Time: nowMicros}, m)
 }
@@ -260,8 +227,7 @@ func (r *Recorder) RecordCall(node env.NodeID, nowMicros int64, name string, arg
 }
 
 // RecordSend implements live.Recorder. Only the (destination, type)
-// pair is logged: payload bytes of map-bearing messages are not stable
-// under gob, so replay compares sends structurally.
+// pair is logged; see MessageType.
 func (r *Recorder) RecordSend(node, to env.NodeID, nowMicros int64, m env.Message) {
 	r.emit(Event{Kind: KSend, Node: int64(node), Peer: int64(to), Time: nowMicros}, m)
 }

@@ -62,9 +62,6 @@ type replayer struct {
 	opts  Options
 	res   *Result
 	nodes map[env.NodeID]*replayNode
-	// decodeErr is the message-stream decode failure, if any; surfaced
-	// as a divergence at the first delivery it left undecoded.
-	decodeErr error
 }
 
 // sendRec is one recorded outbound send awaiting comparison.
@@ -144,8 +141,7 @@ func (n *replayNode) Logf(format string, args ...any) {
 // Send implements env.Context by comparing the send against the
 // recording instead of routing it: deliveries come from the log, so
 // replayed sends are observable outputs only. Comparison is by
-// (destination, concrete type): gob encodes maps in nondeterministic
-// key order, so payload bytes are not a stable identity.
+// (destination, concrete type); see MessageType.
 func (n *replayNode) Send(to env.NodeID, m env.Message) {
 	rp := n.rp
 	if n.stopping {
@@ -274,18 +270,17 @@ func (rp *replayer) exec(idx int, e *Event) {
 		if n == nil {
 			return
 		}
-		if e.Aux == 1 {
-			rp.diverge(id, idx, "unencodable-payload",
-				fmt.Sprintf("recorded delivery of %s was not gob-encodable; register the type with proto.RegisterMessages", e.Name))
-			return
-		}
-		if e.Msg == nil {
-			rp.diverge(id, idx, "decode",
-				fmt.Sprintf("decoding recorded %s payload: %v", e.Name, rp.decodeErr))
+		m, err := e.Message()
+		if err != nil {
+			kind := "decode"
+			if e.Aux == auxUnencodable {
+				kind = "unencodable-payload"
+			}
+			rp.diverge(id, idx, kind, err.Error())
 			return
 		}
 		n.curIndex = idx
-		n.actor.Receive(env.NodeID(e.Peer), e.Msg)
+		n.actor.Receive(env.NodeID(e.Peer), m)
 
 	case KTimer:
 		n := rp.node(id, idx, e.Kind)
@@ -374,17 +369,11 @@ func Replay(lg *Log, opts Options) (*Result, error) {
 	if opts.Factory == nil {
 		return nil, fmt.Errorf("replay: Options.Factory is required")
 	}
-	// Message payloads share one gob stream across the log; decode them
-	// up front, in file order. A failure (tampered bytes that passed the
-	// CRC, missing type registration, version skew) poisons the stream
-	// from that point on; the replay still runs to the first undecoded
-	// delivery and reports it as the divergence point.
 	rp := &replayer{
-		eng:       sim.New(),
-		opts:      opts,
-		res:       &Result{Truncated: lg.Truncated, FinalDigests: make(map[env.NodeID]uint64)},
-		nodes:     make(map[env.NodeID]*replayNode),
-		decodeErr: lg.DecodeMessages(),
+		eng:   sim.New(),
+		opts:  opts,
+		res:   &Result{Truncated: lg.Truncated, FinalDigests: make(map[env.NodeID]uint64)},
+		nodes: make(map[env.NodeID]*replayNode),
 	}
 
 	// Pre-pass: recorded sends become per-node expectation queues (file

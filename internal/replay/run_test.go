@@ -1,29 +1,20 @@
 package replay
 
 import (
-	"encoding/gob"
+	"fmt"
 	"strings"
 	"testing"
 
 	"repro/internal/env"
+	"repro/internal/proto"
 	"repro/internal/rng"
 )
 
-// Test messages; gob registration mirrors what proto.RegisterMessages
-// does for the real protocol set.
-type pingMsg struct{ N int }
-type pongMsg struct{ N int }
-type tickMsg struct{}
-
-func init() {
-	gob.Register(pingMsg{})
-	gob.Register(pongMsg{})
-	gob.Register(tickMsg{})
-}
-
 // testActor is a deterministic actor: Init draws one random value and
-// arms a timer that announces a tick; every ping is answered with a
-// pong. Its digest folds in the draw, so a replay that resumes the
+// arms a timer that announces a tick (a Leave); every ping (a
+// HeartbeatReq) is answered with a pong (a HeartbeatAck carrying Seq+1).
+// The messages are protocol messages so recorded deliveries take the
+// codec path. Its digest folds in the draw, so a replay that resumes the
 // wrong rng stream diverges at the first checkpoint.
 type testActor struct {
 	ctx   env.Context
@@ -38,14 +29,14 @@ func (a *testActor) Init(ctx env.Context) {
 	a.draw = ctx.Rand().Uint64()
 	ctx.After(1000, func() {
 		a.ticks++
-		ctx.Send(a.peer, tickMsg{})
+		ctx.Send(a.peer, proto.Leave{})
 	})
 }
 
 func (a *testActor) Receive(from env.NodeID, m env.Message) {
-	if p, ok := m.(pingMsg); ok {
+	if p, ok := m.(proto.HeartbeatReq); ok {
 		a.pings++
-		a.ctx.Send(from, pongMsg{N: p.N + 1})
+		a.ctx.Send(from, proto.HeartbeatAck{Seq: p.Seq + 1})
 	}
 }
 
@@ -71,10 +62,10 @@ func recordScript(t *testing.T) *Log {
 		return uint64(pings)*1000 + uint64(ticks) + (draw & 0xff)
 	}
 	rec.RecordStart(1, 0, seed, nil)
-	rec.RecordDeliver(1, 2, 500, pingMsg{N: 7})
-	rec.RecordSend(1, 2, 500, pongMsg{N: 8})
+	rec.RecordDeliver(1, 2, 500, proto.HeartbeatReq{Seq: 7})
+	rec.RecordSend(1, 2, 500, proto.HeartbeatAck{Seq: 8})
 	rec.RecordTimer(1, 1000, 1, 1000)
-	rec.RecordSend(1, 2, 1000, tickMsg{})
+	rec.RecordSend(1, 2, 1000, proto.Leave{})
 	rec.RecordDigest(1, 1400, digest(1, 1))
 	rec.RecordStop(1, 2000, digest(1, 1), true)
 	if err := rec.Close(); err != nil {
@@ -113,7 +104,7 @@ func TestReplayDetectsSendMismatch(t *testing.T) {
 	lg := recordScript(t)
 	// The recording claims the pong went to node 3.
 	for i := range lg.Events {
-		if lg.Events[i].Kind == KSend && lg.Events[i].Name == MessageType(pongMsg{}) {
+		if lg.Events[i].Kind == KSend && lg.Events[i].Name == MessageType(proto.HeartbeatAck{}) {
 			lg.Events[i].Peer = 3
 		}
 	}
@@ -185,7 +176,7 @@ func TestReplayDetectsWrongSeed(t *testing.T) {
 func TestReplayDetectsMissingSend(t *testing.T) {
 	lg := recordScript(t)
 	// The recording claims an extra send replay never produces.
-	extra := Event{Kind: KSend, Node: 1, Peer: 2, Time: 1900, Name: MessageType(pingMsg{})}
+	extra := Event{Kind: KSend, Node: 1, Peer: 2, Time: 1900, Name: MessageType(proto.HeartbeatReq{})}
 	lg.Events = append(lg.Events[:6:6], append([]Event{extra}, lg.Events[6:]...)...)
 	res, err := Replay(lg, testOptions())
 	if err != nil {
@@ -198,17 +189,80 @@ func TestReplayDetectsMissingSend(t *testing.T) {
 
 func TestReplayDetectsUndecodablePayload(t *testing.T) {
 	lg := recordScript(t)
+	idx := -1
 	for i := range lg.Events {
 		if lg.Events[i].Kind == KDeliver {
-			lg.Events[i].Data = []byte("not gob")
+			lg.Events[i].Data = []byte("not a codec message")
+			idx = i
 		}
 	}
 	res, err := Replay(lg, testOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Diverged == nil || res.Diverged.Kind != "decode" {
-		t.Fatalf("got %v, want decode divergence", res.Diverged)
+	if d := res.Diverged; d == nil || d.Kind != "decode" || d.Index != idx {
+		t.Fatalf("got %v, want a decode divergence at event %d", d, idx)
+	}
+}
+
+func TestReplayGobStreamPayloadIsReported(t *testing.T) {
+	// A delivery with Aux=0 is a segment of the gob payload stream older
+	// recorders wrote. Replay must name the event and the reason, never
+	// panic and never try to decode it.
+	lg := recordScript(t)
+	idx := -1
+	for i := range lg.Events {
+		if lg.Events[i].Kind == KDeliver {
+			lg.Events[i].Aux = 0
+			lg.Events[i].Data = []byte{0x0c, 0xff, 0x81, 0x03, 0x01}
+			idx = i
+		}
+	}
+	res, err := Replay(lg, testOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := res.Diverged
+	if d == nil || d.Kind != "decode" || d.Index != idx {
+		t.Fatalf("got %v, want a decode divergence at event %d", d, idx)
+	}
+	if !strings.Contains(d.Detail, "gob payload stream") || !strings.Contains(d.Detail, "no longer supported") {
+		t.Fatalf("detail does not explain the unsupported encoding: %s", d.Detail)
+	}
+	if !strings.Contains(d.String(), fmt.Sprintf("event %d", idx)) {
+		t.Fatalf("report does not name the event index: %s", d)
+	}
+}
+
+func TestReplayUnencodablePayloadIsReported(t *testing.T) {
+	dir := t.TempDir()
+	rec, err := NewRecorder(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type localOnly struct{ N int }
+	rec.RecordStart(1, 0, 42, nil)
+	rec.RecordDeliver(1, 2, 500, localOnly{N: 1})
+	if err := rec.Close(); err != nil {
+		t.Fatal(err)
+	}
+	lg, err := ReadLogDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if e := lg.Events[1]; e.Aux != auxUnencodable || len(e.Data) != 0 {
+		t.Fatalf("recorded unencodable payload as %+v, want a typed marker", e)
+	}
+	res, err := Replay(lg, testOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := res.Diverged
+	if d == nil || d.Kind != "unencodable-payload" || d.Index != 1 {
+		t.Fatalf("got %v, want unencodable-payload at event 1", d)
+	}
+	if !strings.Contains(d.Detail, "localOnly") || strings.Contains(d.Detail, "RegisterMessages") {
+		t.Fatalf("detail = %q; want the type named and no registration advice", d.Detail)
 	}
 }
 

@@ -1,8 +1,6 @@
 package p2prm
 
 import (
-	"bytes"
-	"encoding/gob"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -37,10 +35,6 @@ type Live struct {
 	seed   uint64
 	sk     *stats.Set
 	dec    *core.DecisionLog
-
-	// recForceGob pins the flight recorder to the legacy gob payload
-	// encoding (LiveOptions.RecordGobPayloads).
-	recForceGob bool
 
 	// Scrape-time tracer gauges, refreshed by syncTraceMetrics.
 	trBegun   *metrics.Gauge
@@ -100,16 +94,10 @@ type LiveOptions struct {
 	// keeps allocator costing on the virtual clock (Config.Nanotime stays
 	// nil) so the replayed trace is byte-comparable.
 	RecordDir string
-	// RecordGobPayloads forces the flight recorder to log delivery
-	// payloads through the legacy shared gob stream instead of the
-	// compact wire codec. Replay accepts both encodings; this knob
-	// exists to measure the size difference on identical workloads.
-	RecordGobPayloads bool
 }
 
 // NewLive creates a live runtime.
 func NewLive(cfg Config, opts LiveOptions) (*Live, error) {
-	proto.RegisterMessages()
 	if cfg.Nanotime == nil && opts.RecordDir == "" {
 		// Cost allocations on real CPU time. When recording, the hook
 		// stays nil so allocator costing derives from the virtual clock —
@@ -148,8 +136,6 @@ func NewLive(cfg Config, opts LiveOptions) (*Live, error) {
 		seed:   opts.Seed,
 		sk:     sk,
 		dec:    dec,
-
-		recForceGob: opts.RecordGobPayloads,
 	}
 	l.recGauge = reg.Gauge("live_replay_recording",
 		"1 while a flight recorder is attached to the runtime", nil)
@@ -222,18 +208,16 @@ func (l *Live) StartPeerWithID(id NodeID, info PeerInfo, bootstrap NodeID) {
 // Submit issues a task query from the given hosted peer and returns the
 // task ID ("" if the peer is unknown). The submission goes through
 // CallNamed so a flight recorder logs it as a named external operation
-// and a replay can re-issue it.
+// (the argument is the spec in a codec-encoded TaskSubmit envelope) and
+// a replay can re-issue it.
 func (l *Live) Submit(origin NodeID, spec TaskSpec) string {
 	p, ok := l.peers[origin]
 	if !ok {
 		return ""
 	}
-	var arg bytes.Buffer
-	if err := gob.NewEncoder(&arg).Encode(spec); err != nil {
-		return ""
-	}
+	arg, _ := proto.AppendMessage(nil, proto.TaskSubmit{Spec: spec})
 	var taskID string
-	l.rt.CallNamed(origin, "submit", arg.Bytes(), func() { taskID = p.SubmitTask(spec) })
+	l.rt.CallNamed(origin, "submit", arg, func() { taskID = p.SubmitTask(spec) })
 	return taskID
 }
 
@@ -251,9 +235,6 @@ func (l *Live) Record(dir string) error {
 	rec, err := replay.NewRecorder(dir)
 	if err != nil {
 		return err
-	}
-	if l.recForceGob {
-		rec.ForceGobPayloads()
 	}
 	if l.tracer != nil {
 		rec.SetTraceSeed(l.seed)

@@ -1,8 +1,6 @@
 package p2prm
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -43,7 +41,6 @@ type TraceDiff = replay.TraceDiff
 // forced nil so allocator costing derives from the virtual clock exactly
 // as it did while recording.
 func ReplayRecording(cfg Config, dir string) (*ReplayResult, *TraceDiff, error) {
-	proto.RegisterMessages()
 	cfg.Nanotime = nil
 	lg, err := replay.ReadLogDir(dir)
 	if err != nil {
@@ -71,11 +68,15 @@ func ReplayRecording(cfg Config, dir string) (*ReplayResult, *TraceDiff, error) 
 			}
 			switch name {
 			case "submit":
-				var spec proto.TaskSpec
-				if err := gob.NewDecoder(bytes.NewReader(arg)).Decode(&spec); err != nil {
+				m, err := proto.DecodeMessage(arg)
+				if err != nil {
 					return fmt.Errorf("submit arg: %w", err)
 				}
-				p.SubmitTask(spec)
+				ts, ok := m.(proto.TaskSubmit)
+				if !ok {
+					return fmt.Errorf("submit arg is a %T, want proto.TaskSubmit", m)
+				}
+				p.SubmitTask(ts.Spec)
 				return nil
 			default:
 				return fmt.Errorf("unknown call %q", name)
