@@ -82,6 +82,18 @@ func (p *Peer) handleCompose(from env.NodeID, msg proto.GraphCompose) {
 		p.asSource[d.TaskID] = &sourceSession{desc: d, next: d.StartChunk}
 		p.conn.Open(p.nextHop(d, -1))
 	case proto.RoleSink:
+		if _, pending := p.submits[d.TaskID]; !pending {
+			if _, ok := p.asSink[d.TaskID]; !ok {
+				// The task already has its outcome (a report, or a
+				// watchdog timeout): a late recompose must not open a
+				// second one. The refusal retires the session at an RM
+				// that never got the SessionEnd (it went to an RM that
+				// has since failed).
+				p.ctx.Send(from, proto.ComposeAck{TaskID: d.TaskID, Role: msg.Role,
+					Generation: d.Generation, Reason: "task already resolved"})
+				return
+			}
+		}
 		// Our own submission was admitted: the outcome watchdog can stand
 		// down — a report is now guaranteed (finalize or abort paths).
 		if cancel, ok := p.submitTimers[d.TaskID]; ok {

@@ -306,14 +306,7 @@ func (p *Peer) Receive(from env.NodeID, m env.Message) {
 		p.handleTakeoverAnnounce(from, msg)
 	case proto.TaskReject:
 		p.adoptTC(msg.TaskID, msg.TC)
-		if _, mine := p.submits[msg.TaskID]; mine {
-			p.resolveSubmit(msg.TaskID)
-			p.events.rejected(p.domain)
-			if tr := p.events.Tracer(); tr != nil {
-				tr.EndSession(int64(p.ctx.Now()), msg.TaskID, int(p.ctx.Self()), int(p.domain), "rejected",
-					trace.A("reason", msg.Reason))
-			}
-		}
+		p.rejectOwn(msg.TaskID, "rejected", msg.Reason)
 
 	// --- data plane ---
 	case proto.GraphCompose:
@@ -388,6 +381,25 @@ func (p *Peer) resolveSubmit(taskID string) {
 	}
 }
 
+// rejectOwn resolves one of this peer's pending submissions as rejected,
+// ending its trace span with the given outcome (and reason, if any).
+// Every path that gives up on an own submission comes through here, so
+// each counts exactly once.
+func (p *Peer) rejectOwn(taskID, outcome, reason string) {
+	if _, mine := p.submits[taskID]; !mine {
+		return
+	}
+	p.resolveSubmit(taskID)
+	p.events.rejected(p.domain)
+	if tr := p.events.Tracer(); tr != nil {
+		var attrs []trace.Attr
+		if reason != "" {
+			attrs = append(attrs, trace.A("reason", reason))
+		}
+		tr.EndSession(int64(p.ctx.Now()), taskID, int(p.ctx.Self()), int(p.domain), outcome, attrs...)
+	}
+}
+
 // submitAccepted reports whether our own submission has been composed to
 // us as a sink (its outcome will arrive as a session report).
 func (p *Peer) submitAccepted(taskID string) bool {
@@ -455,12 +467,8 @@ func (p *Peer) SubmitTask(spec proto.TaskSpec) string {
 	taskID := spec.ID
 	wait := sim.Time(spec.DeadlineMicros)*2 + 10*sim.Second
 	p.submitTimers[taskID] = p.ctx.After(wait, func() {
-		if _, pending := p.submits[taskID]; pending && !p.submitAccepted(taskID) {
-			p.resolveSubmit(taskID)
-			p.events.rejected(p.domain)
-			if tr := p.events.Tracer(); tr != nil {
-				tr.EndSession(int64(p.ctx.Now()), taskID, int(p.ctx.Self()), int(p.domain), "timeout")
-			}
+		if !p.submitAccepted(taskID) {
+			p.rejectOwn(taskID, "timeout", "")
 		}
 	})
 	target := p.rmID
@@ -468,11 +476,7 @@ func (p *Peer) SubmitTask(spec proto.TaskSpec) string {
 		target = p.ctx.Self()
 	}
 	if target == env.NoNode {
-		p.events.rejected(p.domain)
-		if tr := p.events.Tracer(); tr != nil {
-			tr.EndSession(int64(p.ctx.Now()), spec.ID, int(p.ctx.Self()), int(p.domain), "rejected",
-				trace.A("reason", "no resource manager"))
-		}
+		p.rejectOwn(spec.ID, "rejected", "no resource manager")
 		return spec.ID
 	}
 	submit := proto.TaskSubmit{Spec: spec, TC: p.traceCtx(spec.ID, "submit")}

@@ -1,15 +1,29 @@
 package experiments
 
 import (
+	"flag"
+	"os"
+	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 )
+
+var update = flag.Bool("update", false, "rewrite testdata/quick-seed42.golden from the sequential quick suite")
+
+// goldenPath holds the quick suite's seed-42 tables: the byte-identity
+// oracle a refactor of anything the experiments drive must keep.
+var goldenPath = filepath.Join("testdata", "quick-seed42.golden")
 
 // TestAllParallelMatchesSequential is the determinism contract of the
 // parallel runner: on seed 42 the tables produced by 8 workers must be
 // byte-identical to the sequential suite (run under -race via make race /
 // CI). Experiments share no mutable state — each derives every rng stream
 // and cluster from its Options — so scheduling cannot perturb results.
+// The sequential tables must also equal the committed golden; after an
+// intended behaviour change, regenerate it with
+//
+//	go test ./internal/experiments -run TestAllParallelMatchesSequential -update
 func TestAllParallelMatchesSequential(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the full quick suite twice")
@@ -32,6 +46,42 @@ func TestAllParallelMatchesSequential(t *testing.T) {
 				seq[i].ID, got, want)
 		}
 	}
+	var all strings.Builder
+	for _, r := range seq {
+		all.WriteString(r.String())
+		all.WriteString("\n")
+	}
+	if *update {
+		if err := os.WriteFile(goldenPath, []byte(all.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(goldenPath)
+	if err != nil {
+		t.Fatalf("%v (run with -update to create it)", err)
+	}
+	if got := all.String(); got != string(want) {
+		t.Errorf("quick seed-42 tables differ from %s (run with -update after an intended change):\n%s",
+			goldenPath, firstDiff(got, string(want)))
+	}
+}
+
+// firstDiff renders the first differing line of two texts.
+func firstDiff(got, want string) string {
+	g, w := strings.Split(got, "\n"), strings.Split(want, "\n")
+	for i := 0; i < len(g) || i < len(w); i++ {
+		var gl, wl string
+		if i < len(g) {
+			gl = g[i]
+		}
+		if i < len(w) {
+			wl = w[i]
+		}
+		if gl != wl {
+			return "line " + strconv.Itoa(i+1) + ":\n  got:  " + gl + "\n  want: " + wl
+		}
+	}
+	return "(no differing line)"
 }
 
 // TestRunParallelSurfacesPanics: a panicking experiment must come back as

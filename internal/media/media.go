@@ -146,6 +146,14 @@ type Transcoder struct {
 // Key returns a stable service identifier, e.g. for Bloom summaries.
 func (t Transcoder) Key() string { return t.From.Key() + "->" + t.To.Key() }
 
+// OutputKey returns the Key of the output format of the transcoder whose
+// Key is key: the format a stage running that service emits. It returns
+// "" for a string that is not a transcoder key.
+func OutputKey(key string) string {
+	_, out, _ := strings.Cut(key, "->")
+	return out
+}
+
 // String renders e.g. "T(MPEG-2 800x600@512Kbps -> MPEG-4 640x480@64Kbps)".
 func (t Transcoder) String() string { return fmt.Sprintf("T(%s -> %s)", t.From, t.To) }
 

@@ -137,6 +137,12 @@ func TestTranscoderKeyAndString(t *testing.T) {
 	if tr.Key() == rev.Key() {
 		t.Fatal("reversed transcoder has same key")
 	}
+	if got := OutputKey(tr.Key()); got != tr.To.Key() {
+		t.Fatalf("OutputKey = %q, want %q", got, tr.To.Key())
+	}
+	if got := OutputKey(tr.To.Key()); got != "" {
+		t.Fatalf("OutputKey of a format key = %q, want empty", got)
+	}
 }
 
 func TestObjectDuration(t *testing.T) {
