@@ -117,18 +117,18 @@ func TestFailedMigrationProbeLeavesBookUnchanged(t *testing.T) {
 	}
 }
 
-// Sessions inherited through failover carry their goal and deadline in
-// the replicated descriptor, so the new RM can repair them.
-func TestInheritedSessionIsRepairable(t *testing.T) {
-	cfg := core.DefaultConfig()
+// failoverWithSession builds a five-peer domain — n0 the RM with neither
+// objects nor services, n1 holding the object, n2 and n3 both offering the
+// whole ladder, n4 the sink — admits one session of the given length,
+// crashes n0 and returns the new RM once it has inherited the session.
+func failoverWithSession(t *testing.T, cfg core.Config, durationSec float64) (*cluster.Cluster, *core.Peer) {
+	t.Helper()
 	cfg.BackupSyncPeriod = 500 * sim.Millisecond
 	cat := cluster.StandardCatalog()
 	infos := make([]proto.PeerInfo, 5)
 	for i := range infos {
 		infos[i] = fixedInfo()
 	}
-	// n0 is the RM with neither objects nor services, n1 holds the
-	// object, n2 and n3 both offer the whole ladder, n4 is the sink.
 	infos[1].Objects = []media.Object{{Name: "obj-0", Format: cat.Sources[0],
 		Bytes: int64(60 * float64(cat.Sources[0].BitrateKbps) * 1000 / 8)}}
 	infos[2].Services = append([]media.Transcoder(nil), cat.Ladder...)
@@ -141,7 +141,7 @@ func TestInheritedSessionIsRepairable(t *testing.T) {
 	}
 	c.RunUntil(3 * sim.Second)
 	spec := stdSpec(4)
-	spec.DurationSec = 60
+	spec.DurationSec = durationSec
 	c.Submit(c.Eng.Now(), 4, spec)
 	c.RunUntil(c.Eng.Now() + 5*sim.Second)
 	backup := c.Peer(0).Backup()
@@ -153,10 +153,17 @@ func TestInheritedSessionIsRepairable(t *testing.T) {
 	if got := c.Peer(backup).RunningSessions(); got != 1 {
 		t.Fatalf("new RM inherited %d sessions, want 1", got)
 	}
+	return c, c.Peer(backup)
+}
+
+// Sessions inherited through failover carry their goal and deadline in
+// the replicated descriptor, so the new RM can repair them.
+func TestInheritedSessionIsRepairable(t *testing.T) {
+	c, rm := failoverWithSession(t, core.DefaultConfig(), 60)
 	// Crash a transcoding stage of the inherited session.
 	stage := env.NoNode
 	for _, id := range []env.NodeID{2, 3} {
-		if id != backup && c.Peer(id).Profiler().Load() > 0 {
+		if c.Peer(id) != rm && c.Peer(id).Profiler().Load() > 0 {
 			stage = id
 		}
 	}
@@ -218,5 +225,36 @@ func TestSinkRefusesRecomposeOfResolvedTask(t *testing.T) {
 	}
 	if got := c.Peer(3).ActiveSinkSessions(); len(got) != 0 {
 		t.Fatalf("sink still holds %v", got)
+	}
+}
+
+// A session inherited at takeover whose SessionEnd went to the failed RM
+// is retired by the new RM once its span has passed, so its booked load
+// does not stay on the stage peers as phantom load.
+func TestInheritedSessionRetiredAfterSpan(t *testing.T) {
+	c, rm := failoverWithSession(t, bookConfig(), 20)
+	// Past the session's span, one compose timeout and a backup-sync pass.
+	c.RunUntil(c.Eng.Now() + 25*sim.Second)
+	if n := len(c.Events.Snapshot().Reports); n != 1 {
+		t.Fatalf("reports = %d, want 1 (the sink finalised)", n)
+	}
+	if ids := rm.SessionIDs(); len(ids) != 0 {
+		t.Fatalf("new RM still holds %v after the session's span", ids)
+	}
+	checkBook(t, rm, "after the span")
+}
+
+// A sink the RM removes from its domain while it still runs discards its
+// session on the abort; its submission must still get an outcome.
+func TestRemovedLiveSinkGetsOutcome(t *testing.T) {
+	c := smallDomain(t, 4, core.DefaultConfig())
+	c.Submit(c.Eng.Now(), 3, stdSpec(3))
+	c.RunUntil(c.Eng.Now() + 3*sim.Second)
+	c.Peer(0).Receive(3, proto.Leave{}) // n3 is still running
+	c.RunUntil(c.Eng.Now() + 60*sim.Second)
+	ev := c.Events.Snapshot()
+	if ev.Submitted != 1 || ev.Rejected+len(ev.Reports) != 1 {
+		t.Fatalf("submitted=%d rejected=%d reports=%d, want one outcome",
+			ev.Submitted, ev.Rejected, len(ev.Reports))
 	}
 }

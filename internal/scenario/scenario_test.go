@@ -73,6 +73,8 @@ func TestParseSpecRejectsBadInput(t *testing.T) {
 		{"bad decision", "name: x\nfleet:\n  size: 2\nassert:\n  decisions_frolic_min: 1", "unknown decision action"},
 		{"event late", "name: x\nduration: 5s\nfleet:\n  size: 2\n  over: 1s\nevents:\n  - at: 9s\n    do: heal", "outside"},
 		{"stress kind", "name: x\nfleet:\n  size: 2\nstress:\n  - kind: gremlins", "unknown stress kind"},
+		{"arrivals, no objects", "name: x\nfleet:\n  size: 2\n  objects: 0\nworkload:\n  rate: 2", "fleet.objects"},
+		{"spike, no objects", "name: x\nfleet:\n  size: 2\n  objects: 0\nworkload:\n  rate: 0\nevents:\n  - at: 1s\n    do: spike 5 over 1s", "fleet.objects"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

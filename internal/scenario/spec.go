@@ -203,13 +203,19 @@ func validate(s *Spec) error {
 	if len(s.Fleet.Templates) > 0 && total == 0 {
 		return fmt.Errorf("scenario %s: fleet templates have zero total weight", s.Name)
 	}
+	arrivals := s.Workload.Rate > 0
 	for _, ev := range s.Events {
 		if ev.At < 0 || ev.At > s.Duration {
 			return yerrf(ev.Line, "event at %v outside [0, duration]", ev.At)
 		}
-		if _, err := parseCommand(ev, s.Fleet.Size); err != nil {
+		c, err := parseCommand(ev, s.Fleet.Size)
+		if err != nil {
 			return err
 		}
+		arrivals = arrivals || (c.kind == cmdRate && c.rate > 0) || c.kind == cmdSpike
+	}
+	if arrivals && s.Workload.Objects <= 0 && s.Fleet.Objects <= 0 {
+		return fmt.Errorf("scenario %s: task arrivals need objects to request: set fleet.objects or workload.objects > 0", s.Name)
 	}
 	for _, st := range s.Stress {
 		if err := validateStress(s, st); err != nil {
