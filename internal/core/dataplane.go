@@ -385,7 +385,7 @@ func (p *Peer) finalizeSink(taskID string) {
 		FinishedMicros:    int64(p.ctx.Now()),
 		Hops:              len(s.desc.Stages),
 	}
-	p.events.report(p.domain, int64(p.ctx.Now()), rep)
+	p.events.emit(fact{kind: kindCompleted, domain: p.domain, now: int64(p.ctx.Now()), report: rep})
 	if tr := p.events.Tracer(); tr != nil {
 		tr.EndSession(int64(p.ctx.Now()), taskID, int(p.ctx.Self()), int(p.domain), "completed",
 			trace.A("chunks", rep.Chunks), trace.A("missed", rep.Missed),

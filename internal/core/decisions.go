@@ -10,10 +10,12 @@ import (
 // preempt/repair/migrate/failover choice the resource manager makes is
 // recorded as a structured Decision — action, reason, utility delta,
 // and the candidates considered but rejected — so the adaptation loop
-// of the paper is explainable after the fact. Decisions flow to three
-// sinks through Events.decide: this ring (served by /decisions), the
-// tracer (as "decision" instants inside the task's span), and the
-// metrics registry (per-action counters).
+// of the paper is explainable after the fact. Events.decide records a
+// decision into this ring (served by /decisions) and as a "decision"
+// instant inside the task's span, and emits it through the Events funnel
+// as a per-action count together with the fact its action stands for —
+// an admission, redirect, preemption, migration or failover is counted
+// there and nowhere else.
 
 // Decision actions recorded by the resource manager.
 const (

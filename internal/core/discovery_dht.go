@@ -39,7 +39,11 @@ func (d *dhtDiscovery) Init() {
 	p := d.p
 	d.node = dht.NewNode(p.ctx, p.cfg.DHT)
 	d.node.OnLookupDone = func(hit bool, elapsed sim.Time) {
-		p.events.dhtLookup(p.domain, int64(p.ctx.Now()), hit, elapsed.Seconds())
+		k := kindDHTMiss
+		if hit {
+			k = kindDHTHit
+		}
+		p.events.emit(fact{kind: k, domain: p.domain, now: int64(p.ctx.Now()), n: int64(elapsed)})
 	}
 	d.node.Start()
 	if p.bootstrap != env.NoNode {

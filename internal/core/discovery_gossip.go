@@ -73,7 +73,7 @@ func (g *gossipDiscovery) staleSummary(st *rmState, d proto.DomainID) bool {
 	if g.p.ctx.Now()-seen <= maxAge {
 		return false
 	}
-	g.p.events.staleRedirectSkipped(st.domain)
+	g.p.events.emit(fact{kind: kindStaleSkip, domain: st.domain})
 	return true
 }
 

@@ -15,19 +15,23 @@ import (
 // simulation finishes. It is mutex-guarded so the live runtime (where
 // nodes are goroutines) can share it too.
 //
-// Beyond the coarse counters of EventsData, an Events can carry two
-// optional sinks attached before the run starts: a *trace.Tracer (span
-// tracing of each task query, see internal/trace) and a
-// *metrics.Registry (labeled counters/gauges/histograms for the /metrics
-// endpoint). The mutators below are thin emitters into all three; with no
-// sinks attached they cost what they always did.
+// Beyond the coarse counters of EventsData, an Events can carry optional
+// sinks attached before the run starts: a *trace.Tracer (span tracing of
+// each task query, see internal/trace), a *metrics.Registry (labeled
+// counters/gauges/histograms for the /metrics endpoint), a *stats.Set
+// (windowed quantile sketches) and a *DecisionLog (the RM decision
+// audit). Every fact reaches EventsData, the registry and the sketches
+// through one funnel, emit, driven by the per-kind table kinds; decide
+// adds the audit ring and a trace instant for RM decisions, and span
+// sites call the tracer directly. With no sinks attached a fact costs
+// one locked EventsData update.
 type Events struct {
 	mu         sync.Mutex
 	EventsData // guarded by mu
 
 	// tr, reg, sk and dec are set once by the Attach* methods before any
 	// node runs (the goroutine/simulation start provides the
-	// happens-before edge), so the emitters read them without locking.
+	// happens-before edge), so the funnel reads them without locking.
 	tr  *trace.Tracer
 	reg *metrics.Registry
 	sk  *stats.Set
@@ -117,39 +121,18 @@ func (e *Events) AttachMetrics(reg *metrics.Registry) {
 		return
 	}
 	e.reg = reg
-	d0 := metrics.Labels{"domain": "0"}
-	reg.Counter(MetricSubmitted, "Task queries issued by users.", d0)
-	reg.Counter(MetricAdmitted, "Sessions composed after a successful allocation.", d0)
-	reg.Counter(MetricRejected, "Task queries rejected or timed out.", d0)
-	reg.Counter(MetricRedirected, "Task queries forwarded to another domain.", d0)
-	reg.Counter(MetricCompleted, "Sessions finalized by their sink.", d0)
-}
-
-// Registry returns the attached registry, nil when metrics are off.
-func (e *Events) Registry() *metrics.Registry {
-	if e == nil {
-		return nil
-	}
-	return e.reg
+	e.emit(fact{kind: kindAttached})
 }
 
 // AttachSketches installs the streaming-percentile sink: allocation
-// latency, per-session delivery RTT and failover time feed its windowed
-// quantile sketches (internal/stats). Must be called before any node of
-// the run starts executing.
+// latency, per-session delivery RTT, failover and DHT lookup time feed
+// its windowed quantile sketches (internal/stats). Must be called before
+// any node of the run starts executing.
 func (e *Events) AttachSketches(sk *stats.Set) {
 	if e == nil {
 		return
 	}
 	e.sk = sk
-}
-
-// Sketches returns the attached sketch set, nil when off.
-func (e *Events) Sketches() *stats.Set {
-	if e == nil {
-		return nil
-	}
-	return e.sk
 }
 
 // AttachDecisions installs the RM decision-audit sink. Must be called
@@ -161,237 +144,183 @@ func (e *Events) AttachDecisions(dec *DecisionLog) {
 	e.dec = dec
 }
 
-// Decisions returns the attached decision log, nil when off.
-func (e *Events) Decisions() *DecisionLog {
+// kind names one kind of fact a node reports.
+type kind uint8
+
+const (
+	kindNone kind = iota // an RM decision that is no counted fact of its own
+	// The session-outcome kinds, kindSubmitted through kindCompleted, are
+	// pre-registered at zero when a registry is attached.
+	kindSubmitted
+	kindAdmitted
+	kindRejected
+	kindRedirected
+	kindCompleted // payload: report
+	kindRepair
+	kindAborted
+	kindPreempted
+	kindMigrated
+	kindFailover
+	kindStaleSkip
+	kindDHTHit
+	kindDHTMiss
+	kindDomain
+	kindPeerDead
+	kindAlloc
+	kindPeerLoad // payload: peer, load, util; metrics only
+	kindAttached // a registry was attached
+)
+
+// A fact is one observation on its way to the sinks.
+type fact struct {
+	kind   kind
+	domain proto.DomainID
+	now    int64  // µs: the time axis of the sketches
+	n      int64  // a timed kind's sample, in the kind's unit
+	action string // an RM decision's action, counted per action
+
+	report     proto.SessionReport
+	peer       int
+	load, util float64
+}
+
+// kinds declares, once per kind of fact, everything the funnel does with
+// it: the EventsData update, the counter family (with its "result"
+// label, if any), the histogram family and the sketch. A timed kind's
+// sample n is observed in seconds, n/unit; a completed session's is its
+// report's mean delivery latency, observed when any chunk arrived.
+var kinds = [...]struct {
+	apply          func(*EventsData, fact)
+	counter, help  string
+	result         string
+	hist, histHelp string
+	sketch         string
+	unit           float64
+}{
+	kindSubmitted: {apply: func(d *EventsData, _ fact) { d.Submitted++ },
+		counter: MetricSubmitted, help: "Task queries issued by users."},
+	kindAdmitted: {apply: func(d *EventsData, _ fact) { d.Admitted++ },
+		counter: MetricAdmitted, help: "Sessions composed after a successful allocation."},
+	kindRejected: {apply: func(d *EventsData, _ fact) { d.Rejected++ },
+		counter: MetricRejected, help: "Task queries rejected or timed out."},
+	kindRedirected: {apply: func(d *EventsData, _ fact) { d.Redirected++ },
+		counter: MetricRedirected, help: "Task queries forwarded to another domain."},
+	kindCompleted: {apply: func(d *EventsData, f fact) { d.Reports = append(d.Reports, f.report) },
+		counter: MetricCompleted, help: "Sessions finalized by their sink.",
+		sketch: stats.SketchDeliveryRTT},
+	kindRepair: {apply: func(d *EventsData, f fact) { d.Repairs++; d.RepairMicros = append(d.RepairMicros, f.n) },
+		counter: MetricRepairs, help: "Failure-triggered session re-allocations.",
+		hist: MetricRepairSec, histHelp: "Failure detection to recompose latency in seconds.", unit: 1e6},
+	kindAborted: {apply: func(d *EventsData, _ fact) { d.Aborted++ },
+		counter: MetricAborted, help: "Sessions torn down before any sink report."},
+	kindPreempted: {apply: func(d *EventsData, _ fact) { d.Preemptions++ },
+		counter: MetricPreemptions, help: "Sessions preempted for higher-importance tasks."},
+	kindMigrated: {apply: func(d *EventsData, _ fact) { d.Migrations++ },
+		counter: MetricMigrations, help: "Overload-triggered session reassignments."},
+	kindFailover: {apply: func(d *EventsData, f fact) { d.Failovers++; d.FailoverMicros = append(d.FailoverMicros, f.n) },
+		counter: MetricFailovers, help: "Backup-to-RM takeovers.",
+		hist: MetricFailoverSec, histHelp: "RM silence detection to takeover latency in seconds.",
+		sketch: stats.SketchFailover, unit: 1e6},
+	kindStaleSkip: {apply: func(d *EventsData, _ fact) { d.StaleRedirectSkips++ },
+		counter: MetricStaleSkips, help: "Redirect candidates skipped because their summary aged past the prune horizon."},
+	kindDHTHit: {apply: func(d *EventsData, _ fact) { d.DHTLookups++; d.DHTLookupHits++ },
+		counter: MetricDHTLookups, help: "Iterative DHT provider lookups by outcome.", result: "hit",
+		hist: MetricDHTLookupS, histHelp: "Iterative DHT lookup latency in seconds.",
+		sketch: stats.SketchDHTLookup, unit: 1e6},
+	kindDHTMiss: {apply: func(d *EventsData, _ fact) { d.DHTLookups++ },
+		counter: MetricDHTLookups, help: "Iterative DHT provider lookups by outcome.", result: "miss",
+		hist: MetricDHTLookupS, histHelp: "Iterative DHT lookup latency in seconds.",
+		sketch: stats.SketchDHTLookup, unit: 1e6},
+	kindDomain: {apply: func(d *EventsData, _ fact) { d.DomainsCreated++ },
+		counter: MetricDomains, help: "Domains founded over the run."},
+	kindPeerDead: {apply: func(d *EventsData, _ fact) { d.PeersDeclaredDead++ },
+		counter: MetricPeersDead, help: "Peers removed from a domain (crash or leave)."},
+	kindAlloc: {apply: func(d *EventsData, f fact) { d.AllocNanos = append(d.AllocNanos, f.n) },
+		hist: MetricAllocSec, histHelp: "Wall-clock cost of one allocation computation in seconds.",
+		sketch: stats.SketchAllocLatency, unit: 1e9},
+	kindPeerLoad: {}, // two gauges, set by the funnel
+	kindAttached: {}, // pre-registers the session-outcome counters
+}
+
+// decisionKinds maps the RM actions that are counted facts of their own
+// to their kind.
+var decisionKinds = map[string]kind{
+	DecisionAdmit:    kindAdmitted,
+	DecisionRedirect: kindRedirected,
+	DecisionPreempt:  kindPreempted,
+	DecisionMigrate:  kindMigrated,
+	DecisionFailover: kindFailover,
+}
+
+// emit is the funnel every fact goes through: it applies the fact to
+// EventsData under one lock, then feeds each attached sink what the
+// fact's row in kinds declares.
+func (e *Events) emit(f fact) {
 	if e == nil {
-		return nil
+		return
 	}
-	return e.dec
-}
-
-func domainLabels(d proto.DomainID) metrics.Labels {
-	return metrics.Labels{"domain": strconv.Itoa(int(d))}
-}
-
-func (e *Events) count(name, help string, d proto.DomainID) {
+	k := &kinds[f.kind]
+	if k.apply != nil {
+		e.mu.Lock()
+		k.apply(&e.EventsData, f)
+		e.mu.Unlock()
+	}
+	var secs float64 // a timed fact's sample, in seconds
+	timed := k.unit > 0
+	switch {
+	case f.kind == kindCompleted:
+		secs, timed = f.report.MeanLatencyMicros/1e6, f.report.Received > 0
+	case timed:
+		secs = float64(f.n) / k.unit
+	}
 	if e.reg != nil {
-		// Funnel helper: every caller passes Metric* constants.
-		//lint:allow metriclabel name/help are constant at all call sites
-		e.reg.Counter(name, help, domainLabels(d)).Inc()
-	}
-}
-
-// Lock-protected mutators used by node internals. Each takes the domain
-// observing the event so attached metrics can label per domain.
-
-func (e *Events) submitted(d proto.DomainID) {
-	if e == nil {
-		return
-	}
-	e.mu.Lock()
-	e.Submitted++
-	e.mu.Unlock()
-	e.count(MetricSubmitted, "Task queries issued by users.", d)
-}
-
-func (e *Events) admitted(d proto.DomainID) {
-	if e == nil {
-		return
-	}
-	e.mu.Lock()
-	e.Admitted++
-	e.mu.Unlock()
-	e.count(MetricAdmitted, "Sessions composed after a successful allocation.", d)
-}
-
-func (e *Events) rejected(d proto.DomainID) {
-	if e == nil {
-		return
-	}
-	e.mu.Lock()
-	e.Rejected++
-	e.mu.Unlock()
-	e.count(MetricRejected, "Task queries rejected or timed out.", d)
-}
-
-func (e *Events) redirected(d proto.DomainID) {
-	if e == nil {
-		return
-	}
-	e.mu.Lock()
-	e.Redirected++
-	e.mu.Unlock()
-	e.count(MetricRedirected, "Task queries forwarded to another domain.", d)
-}
-
-func (e *Events) report(d proto.DomainID, nowMicros int64, r proto.SessionReport) {
-	if e == nil {
-		return
-	}
-	e.mu.Lock()
-	e.Reports = append(e.Reports, r)
-	e.mu.Unlock()
-	if e.reg != nil {
-		labels := domainLabels(d)
-		e.reg.Counter(MetricCompleted, "Sessions finalized by their sink.", labels).Inc()
-		e.reg.Counter(MetricChunks, "Chunks expected across finalized sessions.", labels).Add(r.Chunks)
-		e.reg.Counter(MetricChunksMiss, "Chunks late or lost across finalized sessions.", labels).Add(r.Missed)
-	}
-	if e.sk != nil && r.Received > 0 {
-		e.sk.Observe(stats.SketchDeliveryRTT, nowMicros, r.MeanLatencyMicros/1e6)
-	}
-}
-
-func (e *Events) repair(d proto.DomainID, micros int64) {
-	if e == nil {
-		return
-	}
-	e.mu.Lock()
-	e.Repairs++
-	e.RepairMicros = append(e.RepairMicros, micros)
-	e.mu.Unlock()
-	if e.reg != nil {
-		e.reg.Counter(MetricRepairs, "Failure-triggered session re-allocations.", domainLabels(d)).Inc()
-		e.reg.Histogram(MetricRepairSec, "Failure detection to recompose latency in seconds.",
-			nil, domainLabels(d)).Observe(float64(micros) / 1e6)
-	}
-}
-
-func (e *Events) aborted(d proto.DomainID) {
-	if e == nil {
-		return
-	}
-	e.mu.Lock()
-	e.Aborted++
-	e.mu.Unlock()
-	e.count(MetricAborted, "Sessions torn down before any sink report.", d)
-}
-
-func (e *Events) preemption(d proto.DomainID) {
-	if e == nil {
-		return
-	}
-	e.mu.Lock()
-	e.Preemptions++
-	e.mu.Unlock()
-	e.count(MetricPreemptions, "Sessions preempted for higher-importance tasks.", d)
-}
-
-func (e *Events) migration(d proto.DomainID) {
-	if e == nil {
-		return
-	}
-	e.mu.Lock()
-	e.Migrations++
-	e.mu.Unlock()
-	e.count(MetricMigrations, "Overload-triggered session reassignments.", d)
-}
-
-func (e *Events) failover(d proto.DomainID, nowMicros, micros int64) {
-	if e == nil {
-		return
-	}
-	e.mu.Lock()
-	e.Failovers++
-	e.FailoverMicros = append(e.FailoverMicros, micros)
-	e.mu.Unlock()
-	if e.reg != nil {
-		e.reg.Counter(MetricFailovers, "Backup-to-RM takeovers.", domainLabels(d)).Inc()
-		e.reg.Histogram(MetricFailoverSec, "RM silence detection to takeover latency in seconds.",
-			nil, domainLabels(d)).Observe(float64(micros) / 1e6)
-	}
-	if e.sk != nil {
-		e.sk.Observe(stats.SketchFailover, nowMicros, float64(micros)/1e6)
-	}
-}
-
-// staleRedirectSkipped counts a redirect candidate passed over because
-// its cached summary aged past the prune horizon.
-func (e *Events) staleRedirectSkipped(d proto.DomainID) {
-	if e == nil {
-		return
-	}
-	e.mu.Lock()
-	e.StaleRedirectSkips++
-	e.mu.Unlock()
-	e.count(MetricStaleSkips, "Redirect candidates skipped because their summary aged past the prune horizon.", d)
-}
-
-// dhtLookup records one finished iterative DHT provider lookup.
-func (e *Events) dhtLookup(d proto.DomainID, nowMicros int64, hit bool, sec float64) {
-	if e == nil {
-		return
-	}
-	e.mu.Lock()
-	e.DHTLookups++
-	if hit {
-		e.DHTLookupHits++
-	}
-	e.mu.Unlock()
-	if e.reg != nil {
-		result := "miss"
-		if hit {
-			result = "hit"
+		dom := strconv.Itoa(int(f.domain))
+		labels := metrics.Labels{"domain": dom}
+		if k.counter != "" {
+			cl := labels
+			if k.result != "" {
+				cl = metrics.Labels{"domain": dom, "result": k.result}
+			}
+			e.reg.Counter(k.counter, k.help, cl).Inc() //lint:allow metriclabel every kinds row names a Metric* constant
 		}
-		labels := metrics.Labels{"domain": strconv.Itoa(int(d)), "result": result}
-		e.reg.Counter(MetricDHTLookups, "Iterative DHT provider lookups by outcome.", labels).Inc()
-		e.reg.Histogram(MetricDHTLookupS, "Iterative DHT lookup latency in seconds.",
-			nil, domainLabels(d)).Observe(sec)
+		if k.hist != "" {
+			e.reg.Histogram(k.hist, k.histHelp, nil, labels).Observe(secs) //lint:allow metriclabel every kinds row names a Metric* constant
+		}
+		if f.action != "" {
+			e.reg.Counter(MetricDecisions, "RM decisions by action.",
+				metrics.Labels{"domain": dom, "result": f.action}).Inc()
+		}
+		switch f.kind {
+		case kindCompleted:
+			e.reg.Counter(MetricChunks, "Chunks expected across finalized sessions.", labels).Add(f.report.Chunks)
+			e.reg.Counter(MetricChunksMiss, "Chunks late or lost across finalized sessions.", labels).Add(f.report.Missed)
+		case kindPeerLoad:
+			labels["peer"] = strconv.Itoa(f.peer)
+			e.reg.Gauge(MetricPeerLoad, "Profiled load of one peer in work units/s.", labels).Set(f.load)
+			e.reg.Gauge(MetricPeerUtil, "Profiled load of one peer relative to its speed.", labels).Set(f.util)
+		case kindAttached:
+			for _, s := range kinds[kindSubmitted : kindCompleted+1] {
+				e.reg.Counter(s.counter, s.help, labels) //lint:allow metriclabel every kinds row names a Metric* constant
+			}
+		}
 	}
-	if e.sk != nil {
-		e.sk.Observe(stats.SketchDHTLookup, nowMicros, sec)
-	}
-}
-
-func (e *Events) domainCreated(d proto.DomainID) {
-	if e == nil {
-		return
-	}
-	e.mu.Lock()
-	e.DomainsCreated++
-	e.mu.Unlock()
-	e.count(MetricDomains, "Domains founded over the run.", d)
-}
-
-func (e *Events) peerDead(d proto.DomainID) {
-	if e == nil {
-		return
-	}
-	e.mu.Lock()
-	e.PeersDeclaredDead++
-	e.mu.Unlock()
-	e.count(MetricPeersDead, "Peers removed from a domain (crash or leave).", d)
-}
-
-func (e *Events) allocCost(d proto.DomainID, nowMicros, nanos int64) {
-	if e == nil {
-		return
-	}
-	e.mu.Lock()
-	e.AllocNanos = append(e.AllocNanos, nanos)
-	e.mu.Unlock()
-	if e.reg != nil {
-		e.reg.Histogram(MetricAllocSec, "Wall-clock cost of one allocation computation in seconds.",
-			nil, domainLabels(d)).Observe(float64(nanos) / 1e9)
-	}
-	if e.sk != nil {
-		e.sk.Observe(stats.SketchAllocLatency, nowMicros, float64(nanos)/1e9)
+	if e.sk != nil && k.sketch != "" && timed {
+		e.sk.Observe(k.sketch, f.now, secs)
 	}
 }
 
-// decide funnels one RM decision to the audit ring, the tracer (as a
-// "decision" instant inside the task's span) and the metrics registry.
-func (e *Events) decide(d Decision) {
+// decide records one RM decision: into the audit ring, as a count per
+// action together with the fact the action stands for (an admission, a
+// redirect, a preemption, a migration or a failover, whose sample n is
+// its detection latency in µs), and as a "decision" instant inside the
+// task's span.
+func (e *Events) decide(d Decision, n int64) {
 	if e == nil {
 		return
 	}
-	if e.dec != nil {
-		e.dec.Add(d)
-	}
-	if e.reg != nil {
-		labels := metrics.Labels{"domain": strconv.Itoa(d.Domain), "result": d.Action}
-		e.reg.Counter(MetricDecisions, "RM decisions by action.", labels).Inc()
-	}
+	e.dec.Add(d)
+	e.emit(fact{kind: decisionKinds[d.Action], domain: proto.DomainID(d.Domain), now: d.TSMicros,
+		n: n, action: d.Action})
 	if e.tr != nil {
 		attrs := []trace.Attr{trace.A("action", d.Action)}
 		if d.Reason != "" {
@@ -405,17 +334,6 @@ func (e *Events) decide(d Decision) {
 		}
 		e.tr.Instant(d.TSMicros, d.Task, trace.EventDecision, d.Node, d.Domain, attrs...)
 	}
-}
-
-// peerLoad exports one peer's profiled load and relative utilization as
-// labeled gauges; it is metrics-only (nothing accumulates in EventsData).
-func (e *Events) peerLoad(d proto.DomainID, peer int, load, util float64) {
-	if e == nil || e.reg == nil {
-		return
-	}
-	labels := metrics.Labels{"domain": strconv.Itoa(int(d)), "peer": strconv.Itoa(peer)}
-	e.reg.Gauge(MetricPeerLoad, "Profiled load of one peer in work units/s.", labels).Set(load)
-	e.reg.Gauge(MetricPeerUtil, "Profiled load of one peer relative to its speed.", labels).Set(util)
 }
 
 // Snapshot returns a copy safe to read while nodes are still running.

@@ -6,17 +6,21 @@ import (
 
 	"repro/internal/metrics"
 	"repro/internal/proto"
+	"repro/internal/stats"
 	"repro/internal/trace"
 )
 
-// TestEventsConcurrentMutation hammers every mutator from parallel
-// goroutines while readers snapshot, mirroring the live runtime where
-// each node is a goroutine sharing one Events. Run with -race.
+// TestEventsConcurrentMutation hammers every kind of fact and the
+// decision path from parallel goroutines while readers snapshot,
+// mirroring the live runtime where each node is a goroutine sharing one
+// Events. Run with -race.
 func TestEventsConcurrentMutation(t *testing.T) {
 	e := &Events{}
 	reg := metrics.NewRegistry()
 	e.AttachMetrics(reg)
 	e.AttachTracer(trace.New())
+	e.AttachSketches(stats.NewSet(0, 0, 0))
+	e.AttachDecisions(NewDecisionLog(0))
 
 	const writers, iters = 8, 200
 	var wg sync.WaitGroup
@@ -26,20 +30,11 @@ func TestEventsConcurrentMutation(t *testing.T) {
 			defer wg.Done()
 			d := proto.DomainID(g % 2)
 			for i := 0; i < iters; i++ {
-				e.submitted(d)
-				e.admitted(d)
-				e.rejected(d)
-				e.redirected(d)
-				e.report(d, 0, proto.SessionReport{Chunks: 10, Missed: 1, StartupMicros: 1000})
-				e.repair(d, 50)
-				e.aborted(d)
-				e.preemption(d)
-				e.migration(d)
-				e.failover(d, 0, 70)
-				e.domainCreated(d)
-				e.peerDead(d)
-				e.allocCost(d, 0, 900)
-				e.peerLoad(d, g, float64(i), 0.5)
+				for k := range kinds {
+					e.emit(fact{kind: kind(k), domain: d, n: 50, peer: g, load: float64(i), util: 0.5,
+						report: proto.SessionReport{Chunks: 10, Received: 9, Missed: 1, StartupMicros: 1000}})
+				}
+				e.decide(Decision{Domain: int(d), Action: DecisionFailover}, 70)
 			}
 		}(g)
 	}
@@ -61,11 +56,12 @@ func TestEventsConcurrentMutation(t *testing.T) {
 	s := e.Snapshot()
 	if s.Submitted != total || s.Admitted != total || s.Rejected != total ||
 		s.Redirected != total || s.Aborted != total || s.Preemptions != total ||
-		s.Migrations != total || s.DomainsCreated != total || s.PeersDeclaredDead != total {
+		s.Migrations != total || s.DomainsCreated != total || s.PeersDeclaredDead != total ||
+		s.StaleRedirectSkips != total || s.DHTLookups != 2*total || s.DHTLookupHits != total {
 		t.Fatalf("lost counter updates: %+v", s)
 	}
 	if len(s.Reports) != total || s.Repairs != total || len(s.RepairMicros) != total ||
-		s.Failovers != total || len(s.FailoverMicros) != total || len(s.AllocNanos) != total {
+		s.Failovers != 2*total || len(s.FailoverMicros) != 2*total || len(s.AllocNanos) != total {
 		t.Fatalf("lost slice appends: reports=%d repairs=%d failovers=%d allocs=%d",
 			len(s.Reports), len(s.RepairMicros), len(s.FailoverMicros), len(s.AllocNanos))
 	}
@@ -78,39 +74,30 @@ func TestEventsConcurrentMutation(t *testing.T) {
 
 	// The labeled counters saw every increment too, split across the two
 	// domain labels.
-	var sub float64
+	sums := map[string]float64{}
 	for _, fam := range reg.Snapshot() {
-		if fam.Name == MetricSubmitted {
-			for _, m := range fam.Metrics {
-				sub += m.Value
-			}
+		for _, m := range fam.Metrics {
+			sums[fam.Name] += m.Value
 		}
 	}
-	if int(sub) != total {
-		t.Fatalf("registry submitted = %g, want %d", sub, total)
+	if int(sums[MetricSubmitted]) != total || int(sums[MetricFailovers]) != 2*total ||
+		int(sums[MetricDecisions]) != total || int(sums[MetricChunks]) != 10*total {
+		t.Fatalf("registry submitted/failovers/decisions/chunks = %g/%g/%g/%g, want %d/%d/%d/%d",
+			sums[MetricSubmitted], sums[MetricFailovers], sums[MetricDecisions], sums[MetricChunks],
+			total, 2*total, total, 10*total)
 	}
 }
 
 // TestEventsNilReceiver checks that a peer without an Events sink (nil)
-// can still run every mutator.
+// can still emit every kind of fact and decision.
 func TestEventsNilReceiver(t *testing.T) {
 	var e *Events
-	e.submitted(0)
-	e.admitted(0)
-	e.rejected(0)
-	e.redirected(0)
-	e.report(0, 0, proto.SessionReport{})
-	e.repair(0, 1)
-	e.aborted(0)
-	e.preemption(0)
-	e.migration(0)
-	e.failover(0, 0, 1)
-	e.domainCreated(0)
-	e.peerDead(0)
-	e.allocCost(0, 0, 1)
-	e.peerLoad(0, 0, 0, 0)
-	if e.Tracer() != nil || e.Registry() != nil {
-		t.Fatal("nil Events returned a sink")
+	for k := range kinds {
+		e.emit(fact{kind: kind(k), n: 1})
+	}
+	e.decide(Decision{Action: DecisionFailover}, 1)
+	if e.Tracer() != nil {
+		t.Fatal("nil Events returned a tracer")
 	}
 }
 

@@ -390,7 +390,7 @@ func (p *Peer) rejectOwn(taskID, outcome, reason string) {
 		return
 	}
 	p.resolveSubmit(taskID)
-	p.events.rejected(p.domain)
+	p.events.emit(fact{kind: kindRejected, domain: p.domain})
 	if tr := p.events.Tracer(); tr != nil {
 		var attrs []trace.Attr
 		if reason != "" {
@@ -454,7 +454,7 @@ func (p *Peer) SubmitTask(spec proto.TaskSpec) string {
 		spec.ChunkSec = p.cfg.DefaultChunkSec
 	}
 	p.submits[spec.ID] = p.ctx.Now()
-	p.events.submitted(p.domain)
+	p.events.emit(fact{kind: kindSubmitted, domain: p.domain})
 	if tr := p.events.Tracer(); tr != nil {
 		tr.BeginSession(int64(p.ctx.Now()), spec.ID, int(p.ctx.Self()), int(p.domain),
 			trace.A("object", spec.ObjectName), trace.A("importance", spec.Importance),
