@@ -14,6 +14,7 @@ import (
 	"repro/internal/proto"
 	"repro/internal/rng"
 	"repro/internal/sim"
+	"repro/internal/workload"
 )
 
 // This file turns a validated Spec into a concrete Plan: every node,
@@ -206,18 +207,17 @@ func Expand(s *Spec, seed uint64) (*Plan, error) {
 	if objects > 0 {
 		zipf = rng.NewZipf(taskR.Split(), objects, s.Workload.ZipfS)
 	}
+	mix := workload.TaskMix{
+		DeadlineMicros:   int64(s.Workload.Deadline),
+		DurationMeanSec:  float64(s.Workload.DurationMean) / 1e6,
+		ChunkSec:         1,
+		ImportanceLevels: s.Workload.Importance,
+		RelaxedFrac:      s.Workload.Relaxed,
+	}
 	seqID := 0
 	drawSpec := func() proto.TaskSpec {
 		seqID++
-		return proto.TaskSpec{
-			ID:             fmt.Sprintf("sc-%d", seqID),
-			ObjectName:     fmt.Sprintf("obj-%d", zipf.Next()),
-			Constraint:     p.Catalog.RequestConstraint(taskR, taskR.Bool(s.Workload.Relaxed)),
-			DeadlineMicros: int64(s.Workload.Deadline),
-			Importance:     1 + taskR.Intn(maxInt(1, s.Workload.Importance)),
-			DurationSec:    taskR.Exp(float64(s.Workload.DurationMean) / 1e6),
-			ChunkSec:       1,
-		}
+		return workload.DrawSpec(fmt.Sprintf("sc-%d", seqID), mix, p.Catalog, taskR, zipf)
 	}
 	for _, at := range arrivalTimes(s, seed, rateChanges) {
 		spec := drawSpec()

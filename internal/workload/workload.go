@@ -67,15 +67,24 @@ func NewDriver(c *cluster.Cluster, cat cluster.Catalog, mix TaskMix, r *rng.Rand
 // Spec draws one task specification (without origin).
 func (d *Driver) Spec() proto.TaskSpec {
 	d.seq++
-	obj := d.zipf.Next()
+	return DrawSpec(fmt.Sprintf("wl-%d", d.seq), d.Mix, d.Cat, d.R, d.zipf)
+}
+
+// DrawSpec draws task id's specification (without origin) from r and
+// zipf in the one order every request stream shares: the object by Zipf
+// rank, whether the request is relaxed, its constraint, its importance
+// and its duration. Deadline, duration mean and chunk size are the mix's.
+func DrawSpec(id string, mix TaskMix, cat cluster.Catalog, r *rng.Rand, zipf *rng.Zipf) proto.TaskSpec {
+	obj := zipf.Next()
+	relaxed := r.Bool(mix.RelaxedFrac)
 	return proto.TaskSpec{
-		ID:             fmt.Sprintf("wl-%d", d.seq),
+		ID:             id,
 		ObjectName:     fmt.Sprintf("obj-%d", obj),
-		Constraint:     d.Cat.RequestConstraint(d.R, d.R.Bool(d.Mix.RelaxedFrac)),
-		DeadlineMicros: d.Mix.DeadlineMicros,
-		Importance:     1 + d.R.Intn(maxInt(1, d.Mix.ImportanceLevels)),
-		DurationSec:    d.R.Exp(d.Mix.DurationMeanSec),
-		ChunkSec:       d.Mix.ChunkSec,
+		Constraint:     cat.RequestConstraint(r, relaxed),
+		DeadlineMicros: mix.DeadlineMicros,
+		Importance:     1 + r.Intn(maxInt(1, mix.ImportanceLevels)),
+		DurationSec:    r.Exp(mix.DurationMeanSec),
+		ChunkSec:       mix.ChunkSec,
 	}
 }
 
