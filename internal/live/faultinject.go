@@ -21,8 +21,8 @@ import (
 // specific rule wins: (from,to), then (from,*), then (*,to), then (*,*).
 type FaultInjector struct {
 	mu    sync.Mutex
-	rules map[faultKey]FaultRule // guarded by mu
-	r     *rng.Rand              // guarded by mu
+	rules env.PairRules[FaultRule] // guarded by mu
+	r     *rng.Rand                // guarded by mu
 
 	dropped    atomic.Uint64
 	delayed    atomic.Uint64
@@ -42,20 +42,11 @@ type FaultRule struct {
 	Sever bool          `json:"sever,omitempty"`
 }
 
-// zero reports whether the rule imposes nothing.
-func (r FaultRule) zero() bool {
-	return !r.Sever && r.Drop == 0 && r.Dup == 0 && r.Delay == 0
-}
-
-type faultKey struct {
-	from, to env.NodeID
-}
-
 // NewFaultInjector creates an injector drawing its probability rolls
 // from r (callers derive it from the runtime's rng stream, keeping all
 // live randomness on injected streams).
 func NewFaultInjector(r *rng.Rand) *FaultInjector {
-	return &FaultInjector{rules: make(map[faultKey]FaultRule), r: r}
+	return &FaultInjector{rules: env.PairRules[FaultRule]{}, r: r}
 }
 
 // Set installs the rule for from→to (either side may be AnyNode). A
@@ -63,12 +54,7 @@ func NewFaultInjector(r *rng.Rand) *FaultInjector {
 func (f *FaultInjector) Set(from, to env.NodeID, rule FaultRule) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	k := faultKey{from, to}
-	if rule.zero() {
-		delete(f.rules, k)
-		return
-	}
-	f.rules[k] = rule
+	f.rules.Set(from, to, rule)
 }
 
 // Sever blackholes both directions between a and b (use AnyNode to cut
@@ -98,7 +84,7 @@ func (f *FaultInjector) Clear() int {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	n := len(f.rules)
-	f.rules = make(map[faultKey]FaultRule)
+	f.rules = env.PairRules[FaultRule]{}
 	return n
 }
 
@@ -118,7 +104,7 @@ func (f *FaultInjector) Rules() []FaultRuleEntry {
 	f.mu.Lock()
 	out := make([]FaultRuleEntry, 0, len(f.rules))
 	for k, r := range f.rules {
-		out = append(out, FaultRuleEntry{From: k.from, To: k.to, Rule: r})
+		out = append(out, FaultRuleEntry{From: k.From, To: k.To, Rule: r})
 	}
 	f.mu.Unlock()
 	sort.Slice(out, func(i, j int) bool {
@@ -163,7 +149,7 @@ func (f *FaultInjector) decide(from, to env.NodeID) faultDecision {
 		return faultDecision{}
 	}
 	f.mu.Lock()
-	rule, ok := f.lookupLocked(from, to)
+	rule, ok := f.rules.Lookup(from, to)
 	if !ok {
 		f.mu.Unlock()
 		return faultDecision{}
@@ -186,17 +172,4 @@ func (f *FaultInjector) decide(from, to env.NodeID) faultDecision {
 		f.delayed.Add(1)
 	}
 	return d
-}
-
-// lookupLocked resolves the most specific rule for from→to. Caller
-// holds f.mu.
-func (f *FaultInjector) lookupLocked(from, to env.NodeID) (FaultRule, bool) {
-	for _, k := range [...]faultKey{
-		{from, to}, {from, AnyNode}, {AnyNode, to}, {AnyNode, AnyNode},
-	} {
-		if r, ok := f.rules[k]; ok {
-			return r, true
-		}
-	}
-	return FaultRule{}, false
 }

@@ -11,37 +11,6 @@ import (
 	"repro/internal/rng"
 )
 
-func TestFaultRulePrecedence(t *testing.T) {
-	fi := NewFaultInjector(rng.New(1))
-	// Wildcard severs everything; a specific rule must still win.
-	fi.Set(AnyNode, AnyNode, FaultRule{Sever: true})
-	fi.Set(1, 2, FaultRule{Delay: 5 * time.Millisecond})
-	fi.Set(1, AnyNode, FaultRule{Sever: true})
-	fi.Set(AnyNode, 4, FaultRule{Delay: time.Millisecond})
-
-	if d := fi.decide(1, 2); d.drop || d.delay != 5*time.Millisecond {
-		t.Fatalf("(1,2) should hit the exact rule, got %+v", d)
-	}
-	if d := fi.decide(1, 9); !d.drop {
-		t.Fatalf("(1,9) should hit (1,*) sever, got %+v", d)
-	}
-	if d := fi.decide(3, 4); d.drop || d.delay != time.Millisecond {
-		t.Fatalf("(3,4) should hit (*,4) delay, got %+v", d)
-	}
-	if d := fi.decide(8, 9); !d.drop {
-		t.Fatalf("(8,9) should hit the (*,*) sever, got %+v", d)
-	}
-
-	fi.Heal(1, 2)
-	if d := fi.decide(1, 2); !d.drop {
-		t.Fatalf("(1,2) after heal should fall through to (1,*) sever, got %+v", d)
-	}
-	fi.Reset()
-	if d := fi.decide(8, 9); d.drop || d.dup || d.delay != 0 {
-		t.Fatalf("after Reset nothing should be impaired, got %+v", d)
-	}
-}
-
 func TestFaultInjectorDropDupDelayStats(t *testing.T) {
 	fi := NewFaultInjector(rng.New(2))
 	fi.Set(1, 2, FaultRule{Drop: 1})

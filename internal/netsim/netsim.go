@@ -69,16 +69,6 @@ type FaultRule struct {
 	Sever bool
 }
 
-// zero reports whether the rule imposes nothing.
-func (r FaultRule) zero() bool {
-	return !r.Sever && r.Drop == 0 && r.Dup == 0 && r.Delay == 0
-}
-
-// faultKey is one directed pair; env.NoNode is the wildcard.
-type faultKey struct {
-	from, to env.NodeID
-}
-
 // Network hosts simulated nodes. Not safe for concurrent use: everything
 // runs on the engine's single logical thread.
 type Network struct {
@@ -88,8 +78,8 @@ type Network struct {
 	nodes  map[env.NodeID]*node
 	next   env.NodeID
 	stats  Stats
-	faults map[faultKey]FaultRule
-	faultR *rng.Rand // rolls for installed rules; split lazily so fault-free runs draw identically
+	faults env.PairRules[FaultRule] // nil until a rule is installed, and again after ClearFaults
+	faultR *rng.Rand                // rolls for installed rules; split lazily so fault-free runs draw identically
 }
 
 // node is the per-actor runtime state.
@@ -151,18 +141,13 @@ func (s Stats) MaxPerNode() uint64 {
 // see exactly the draws they always did.
 func (n *Network) SetFault(from, to env.NodeID, rule FaultRule) {
 	if n.faults == nil {
-		if rule.zero() {
+		if rule == (FaultRule{}) {
 			return
 		}
-		n.faults = make(map[faultKey]FaultRule)
+		n.faults = env.PairRules[FaultRule]{}
 		n.faultR = n.r.Split()
 	}
-	k := faultKey{from, to}
-	if rule.zero() {
-		delete(n.faults, k)
-		return
-	}
-	n.faults[k] = rule
+	n.faults.Set(from, to, rule)
 }
 
 // Sever blackholes both directions between a and b (use env.NoNode to
@@ -189,21 +174,6 @@ func (n *Network) ClearFaults() int {
 
 // FaultRuleCount reports how many fault rules are installed.
 func (n *Network) FaultRuleCount() int { return len(n.faults) }
-
-// lookupFault resolves the most specific rule for from→to.
-func (n *Network) lookupFault(from, to env.NodeID) (FaultRule, bool) {
-	if n.faults == nil {
-		return FaultRule{}, false
-	}
-	for _, k := range [...]faultKey{
-		{from, to}, {from, env.NoNode}, {env.NoNode, to}, {env.NoNode, env.NoNode},
-	} {
-		if r, ok := n.faults[k]; ok {
-			return r, true
-		}
-	}
-	return FaultRule{}, false
-}
 
 // AddNode registers an actor, assigns it the next NodeID, and schedules
 // its Init at the current time. It returns the assigned ID.
@@ -270,7 +240,7 @@ func (n *Network) Actor(id env.NodeID) env.Actor {
 func (n *Network) deliver(src, dst env.NodeID, m env.Message) {
 	var extra sim.Time
 	dup := false
-	if rule, ok := n.lookupFault(src, dst); ok {
+	if rule, ok := n.faults.Lookup(src, dst); ok {
 		// Mirror live.FaultInjector.decide: sever and drop preempt the
 		// other impairments; dup rolls only on surviving messages.
 		if rule.Sever || (rule.Drop > 0 && n.faultR.Bool(rule.Drop)) {
