@@ -222,7 +222,9 @@ func TestCoalescingBatchesBurst(t *testing.T) {
 			a.ctx.Send(1, proto.HeartbeatReq{Seq: uint64(i)})
 		}
 	})
-	waitFor(t, 5*time.Second, func() bool { return b.count() == burst })
+	// The sender counts a batch after its write returns, so the receiver
+	// can hold every frame before the counter moves.
+	waitFor(t, 5*time.Second, func() bool { return b.count() == burst && trA.Stats().Sent >= burst })
 
 	st := trA.Stats()
 	if st.Sent != burst {
