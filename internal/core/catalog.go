@@ -71,7 +71,7 @@ func (p *Peer) RemoveService(key string) {
 // view and the discovery backend.
 func (p *Peer) catalogChanged() {
 	if st := p.rm; st != nil {
-		if rec, ok := st.peers[p.ctx.Self()]; ok {
+		if rec, ok := st.peers.get(p.ctx.Self()); ok {
 			info := p.info
 			info.ID = p.ctx.Self()
 			rec.info = info

@@ -28,7 +28,7 @@ type dhtDiscovery struct {
 }
 
 // The well-known key every Resource Manager publishes its domain record
-// under — the DHT's replacement for gossip's knownRMs bootstrap.
+// under — the DHT's replacement for gossip's RM-list bootstrap.
 const dirKind, dirName = "dir", "rms"
 
 func newDHTDiscovery(p *Peer) *dhtDiscovery {
@@ -101,8 +101,8 @@ func (d *dhtDiscovery) refreshCatalog() {
 	}
 	rec := proto.DHTProvider{Domain: st.domain, RM: p.ctx.Self(), NumPeers: len(st.peers)}
 	var utilSum float64
-	for _, id := range sortedPeerIDs(st.peers) {
-		utilSum += st.peers[id].util()
+	for _, rec := range st.peers {
+		utilSum += rec.util()
 	}
 	if len(st.peers) > 0 {
 		rec.AvgUtil = utilSum / float64(len(st.peers))
@@ -116,8 +116,8 @@ func (d *dhtDiscovery) refreshCatalog() {
 		}
 	}
 	publish(dht.Key(dirKind, dirName))
-	for _, id := range sortedPeerIDs(st.peers) {
-		info := st.peers[id].info
+	for _, rec := range st.peers {
+		info := rec.info
 		for _, o := range info.Objects {
 			publish(dht.Key("obj", o.Name))
 		}
@@ -138,8 +138,8 @@ func (d *dhtDiscovery) refreshCatalog() {
 	d.pub = want
 
 	// Directory refresh: cache the other RMs' records for synchronous
-	// redirect decisions, and fold them into knownRMs so failover state
-	// replication keeps working without gossip.
+	// redirect decisions, and fold them into the domain table so failover
+	// state replication keeps working without gossip.
 	d.node.LookupProviders(dht.Key(dirKind, dirName), proto.TraceContext{}, func(vs []proto.DHTProvider) {
 		if p.rm == nil {
 			d.dir = nil
@@ -210,7 +210,7 @@ func (d *dhtDiscovery) RedirectRM(maxPeers int) env.NodeID {
 func (d *dhtDiscovery) Diag() DiscoveryDiag {
 	dg := DiscoveryDiag{Backend: DiscoveryDHT, Domain: d.p.domain, IsRM: d.p.IsRM()}
 	if st := d.p.rm; st != nil {
-		dg.KnownDomains = len(st.knownRMs)
+		dg.KnownDomains = len(st.domains)
 	}
 	if d.node == nil {
 		return dg

@@ -54,23 +54,15 @@ func (g *gossipDiscovery) LookupObject(task, object string, tc proto.TraceContex
 	done(g.pickObjectDomain(object))
 }
 
-// staleSummary reports whether domain d's cached summary has aged past
+// staleSummary reports whether a domain's cached summary has aged past
 // the prune horizon without being refreshed. Prune runs only on gossip
 // ticks, so between ticks (or after a stale copy bounced back in) the
 // cache can hold entries older than SummaryMaxAge; consulting them for
 // redirects sends tasks and joiners at domains that are likely gone.
 // Every skip is counted (p2p_rm_redirects_stale_skipped_total).
-func (g *gossipDiscovery) staleSummary(st *rmState, d proto.DomainID) bool {
+func (g *gossipDiscovery) staleSummary(st *rmState, rec *domainRecord) bool {
 	maxAge := g.p.cfg.SummaryMaxAge
-	if maxAge <= 0 {
-		return false
-	}
-	seen, ok := st.summarySeen[d]
-	if !ok {
-		// Pre-aging entry: pruneStaleSummaries stamps it with a full window.
-		return false
-	}
-	if g.p.ctx.Now()-seen <= maxAge {
+	if maxAge <= 0 || g.p.ctx.Now()-rec.seen <= maxAge {
 		return false
 	}
 	g.p.events.emit(fact{kind: kindStaleSkip, domain: st.domain})
@@ -90,15 +82,12 @@ func (g *gossipDiscovery) pickObjectDomain(object string) env.NodeID {
 		util float64
 	}
 	var cands []cand
-	for _, d := range sortedMapKeys(st.summaries) {
-		sum := st.summaries[d]
-		if d == st.domain || len(sum.ObjectBloom) == 0 {
+	for _, rec := range st.domains {
+		sum := rec.summary
+		if sum == nil || len(sum.ObjectBloom) == 0 || g.staleSummary(st, rec) {
 			continue
 		}
-		if g.staleSummary(st, d) {
-			continue
-		}
-		f, err := bloomFrom(sum)
+		f, err := bloomFrom(*sum)
 		if err != nil || !f.ContainsString(object) {
 			continue
 		}
@@ -129,10 +118,10 @@ func (g *gossipDiscovery) RedirectRM(maxPeers int) env.NodeID {
 		util float64
 	}
 	var cands []cand
-	for _, d := range sortedMapKeys(st.knownRMs) {
+	for _, rec := range st.domains {
 		util := 0.5
-		if sum, ok := st.summaries[d]; ok {
-			if g.staleSummary(st, d) {
+		if sum := rec.summary; sum != nil {
+			if g.staleSummary(st, rec) {
 				continue
 			}
 			util = sum.AvgUtil
@@ -140,7 +129,7 @@ func (g *gossipDiscovery) RedirectRM(maxPeers int) env.NodeID {
 				continue
 			}
 		}
-		cands = append(cands, cand{st.knownRMs[d], util})
+		cands = append(cands, cand{rec.rm, util})
 	}
 	if len(cands) == 0 {
 		return env.NoNode
@@ -157,8 +146,8 @@ func (g *gossipDiscovery) RedirectRM(maxPeers int) env.NodeID {
 func (g *gossipDiscovery) Diag() DiscoveryDiag {
 	d := DiscoveryDiag{Backend: DiscoveryGossip, Domain: g.p.domain, IsRM: g.p.IsRM()}
 	if st := g.p.rm; st != nil {
-		d.KnownDomains = len(st.knownRMs)
-		d.Summaries = len(st.summaries)
+		d.KnownDomains = len(st.domains)
+		d.Summaries = len(st.summarized())
 	}
 	return d
 }

@@ -22,7 +22,9 @@ import (
 //  2. no leaks after drain: no active sink/stage sessions, no residual
 //     profiler load beyond declared background, empty scheduler queues;
 //  3. consistency: reports never claim more received than chunks, RMs'
-//     domain sizes cover exactly the live joined population.
+//     domain sizes cover exactly the live joined population;
+//  4. RM tables: ordered, graph-consistent, backup a member, own domain
+//     absent (CheckRMTables), mid-run and after the drain.
 func TestRandomScenarioInvariants(t *testing.T) {
 	for seed := uint64(0); seed < 12; seed++ {
 		seed := seed
@@ -69,6 +71,17 @@ func runRandomScenario(t *testing.T, seed uint64) {
 	if r.Bool(0.5) {
 		workload.Churn(c, r.Split(), start, start+horizon, r.Float64()*0.1, 0.7, nil)
 	}
+	// (4) RM tables, mid-run under churn and again after the drain.
+	checkTables := func(when string) {
+		for _, id := range c.RMs() {
+			if err := c.Peer(id).CheckRMTables(); err != nil {
+				t.Errorf("%s: RM n%d: %v", when, id, err)
+			}
+		}
+	}
+	for i := 1; i <= 4; i++ {
+		c.Eng.At(start+horizon*sim.Time(i)/5, func() { checkTables("mid-run") })
+	}
 	if r.Bool(0.5) {
 		workload.BackgroundNoise(c, r.Split(), start, start+horizon, 10*sim.Second, 0.3)
 	}
@@ -82,6 +95,7 @@ func runRandomScenario(t *testing.T, seed uint64) {
 	})
 	c.RunUntil(start + horizon + 4*sim.Minute)
 
+	checkTables("after drain")
 	ev := c.Events.Snapshot()
 
 	// (1) accounting.

@@ -33,8 +33,8 @@
 // Anything else — append to an outer slice, plain assignment to an
 // outer variable, a function call, a channel operation, return — is
 // reported, because the iteration order can escape through it. The
-// remedy is to iterate a sorted key slice (core.sortedKeys /
-// sortedPeerIDs) or, where the loop is commutative for a reason the
+// remedy is to iterate a sorted key slice (core.sortedMapKeys), or a
+// table kept in key order, or, where the loop is commutative for a reason the
 // classifier cannot see, to justify it in place:
 //
 //	//lint:maporder commutative — <why the order provably cannot escape>
