@@ -313,8 +313,8 @@ func (e *Events) emit(f fact) {
 // action together with the fact the action stands for (an admission, a
 // redirect, a preemption, a migration or a failover, whose sample n is
 // its detection latency in µs), and as a "decision" instant inside the
-// task's span.
-func (e *Events) decide(d Decision, n int64) {
+// task's span, carrying extra after the decision's own attributes.
+func (e *Events) decide(d Decision, n int64, extra ...trace.Attr) {
 	if e == nil {
 		return
 	}
@@ -332,6 +332,10 @@ func (e *Events) decide(d Decision, n int64) {
 		if len(d.Candidates) > 0 {
 			attrs = append(attrs, trace.A("candidates", d.Candidates))
 		}
+		if d.Action == DecisionFailover {
+			attrs = append(attrs, trace.A("detection_micros", n))
+		}
+		attrs = append(attrs, extra...)
 		e.tr.Instant(d.TSMicros, d.Task, trace.EventDecision, d.Node, d.Domain, attrs...)
 	}
 }
