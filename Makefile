@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check vet fmt build lint lint-json lockorder-golden test race chaos fuzz-wire replay obs dht scenario bench-trace bench bench-all
+.PHONY: check vet fmt build lint lint-json lockorder-golden loc test race chaos fuzz-wire replay obs dht scenario bench-trace bench bench-all
 
 # check is the pre-commit gate referenced from README: static checks,
 # full build, race-enabled tests, the record/replay gate, and the
@@ -38,6 +38,11 @@ lint-json: bin/p2plint
 # re-ranked order). CI fails until the refreshed golden is committed.
 lockorder-golden: bin/p2plint
 	./bin/p2plint -lockorder -write
+
+# loc prints the net Go line count the ROADMAP tracks: every tracked
+# .go file outside vendor/ that is not a test.
+loc:
+	@git ls-files '*.go' | grep -v '^vendor/' | grep -v '_test.go$$' | xargs cat | wc -l
 
 bin/p2plint: FORCE
 	$(GO) build -o bin/p2plint ./cmd/p2plint
