@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"bytes"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -63,24 +64,50 @@ func TestParseSpecDefaultsAndSections(t *testing.T) {
 	}
 }
 
+// rejectCases are spec files Parse must refuse. A nonzero line is the
+// line number the error must name; the decoder cases cover each error
+// class in each section.
+var rejectCases = []struct {
+	name, src, wantSub string
+	line               int
+}{
+	{"no name", "duration: 5s\nfleet:\n  size: 2", "missing required key", 0},
+	{"bad startup", "name: x\nfleet:\n  size: 2\n  startup: sideways", "startup", 0},
+	{"bad verb", "name: x\nfleet:\n  size: 2\nevents:\n  - at: 1s\n    do: explode 3", "unknown verb", 5},
+	{"bad target", "name: x\nfleet:\n  size: 2\nevents:\n  - at: 1s\n    do: crash 9", "bad node target", 5},
+	{"bad assert", "name: x\nfleet:\n  size: 2\nassert:\n  vibes_min: 1", "unknown assertion", 5},
+	{"bad decision", "name: x\nfleet:\n  size: 2\nassert:\n  decisions_frolic_min: 1", "unknown decision action", 5},
+	{"event late", "name: x\nduration: 5s\nfleet:\n  size: 2\n  over: 1s\nevents:\n  - at: 9s\n    do: heal", "outside", 7},
+	{"stress kind", "name: x\nfleet:\n  size: 2\nstress:\n  - kind: gremlins", "unknown stress kind", 5},
+	{"arrivals, no objects", "name: x\nfleet:\n  size: 2\n  objects: 0\nworkload:\n  rate: 2", "fleet.objects", 0},
+	{"spike, no objects", "name: x\nfleet:\n  size: 2\n  objects: 0\nworkload:\n  rate: 0\nevents:\n  - at: 1s\n    do: spike 5 over 1s", "fleet.objects", 0},
+	{"unknown top-level key", "name: x\nfleet:\n  size: 2\nbogus: 1", `key "bogus"`, 4},
+	{"unknown net key", "name: x\nfleet:\n  size: 2\nnet:\n  bogus: 1", `key "bogus"`, 5},
+	{"unknown fleet key", "name: x\nfleet:\n  size: 2\n  bogus: 1", `key "bogus"`, 4},
+	{"unknown template key", "name: x\nfleet:\n  size: 2\n  templates:\n    - name: a\n      bogus: 1", `key "bogus"`, 6},
+	{"unknown workload key", "name: x\nfleet:\n  size: 2\nworkload:\n  bogus: 1", `key "bogus"`, 5},
+	{"unknown event key", "name: x\nfleet:\n  size: 2\nevents:\n  - at: 1s\n    bogus: heal", `key "bogus"`, 6},
+	{"unknown stress key", "name: x\nfleet:\n  size: 2\nstress:\n  - kind: churn\n    bogus: 1", `key "bogus"`, 6},
+	{"assert bound not scalar", "name: x\nfleet:\n  size: 2\nassert:\n  submitted_min:\n    - 1", "must have a scalar bound", 6},
+	{"mapping for scalar", "name: x\nseed:\n  a: 1\nfleet:\n  size: 2", "seed must be a scalar, got a mapping", 3},
+	{"scalar for mapping", "name: x\nfleet: 3", "fleet must be a mapping", 2},
+	{"scalar for sequence", "name: x\nfleet:\n  size: 2\nevents: heal", "events must be a sequence", 4},
+	{"non-integer", "name: x\nfleet:\n  size: two", `"two" is not an integer`, 3},
+	{"negative seed", "name: x\nseed: -1\nfleet:\n  size: 2", `"-1" is not an unsigned integer`, 2},
+	{"non-number", "name: x\nfleet:\n  size: 2\n  qualified: most", `"most" is not a number`, 4},
+	{"duration without unit", "name: x\nduration: 30\nfleet:\n  size: 2", "needs a unit", 2},
+	{"protect not a sequence", "name: x\nfleet:\n  size: 2\nstress:\n  - kind: churn\n    protect: 3", "protect must be a sequence", 6},
+}
+
 func TestParseSpecRejectsBadInput(t *testing.T) {
-	cases := []struct{ name, src, wantSub string }{
-		{"no name", "duration: 5s\nfleet:\n  size: 2", "missing required key"},
-		{"bad startup", "name: x\nfleet:\n  size: 2\n  startup: sideways", "startup"},
-		{"bad verb", "name: x\nfleet:\n  size: 2\nevents:\n  - at: 1s\n    do: explode 3", "unknown verb"},
-		{"bad target", "name: x\nfleet:\n  size: 2\nevents:\n  - at: 1s\n    do: crash 9", "bad node target"},
-		{"bad assert", "name: x\nfleet:\n  size: 2\nassert:\n  vibes_min: 1", "unknown assertion"},
-		{"bad decision", "name: x\nfleet:\n  size: 2\nassert:\n  decisions_frolic_min: 1", "unknown decision action"},
-		{"event late", "name: x\nduration: 5s\nfleet:\n  size: 2\n  over: 1s\nevents:\n  - at: 9s\n    do: heal", "outside"},
-		{"stress kind", "name: x\nfleet:\n  size: 2\nstress:\n  - kind: gremlins", "unknown stress kind"},
-		{"arrivals, no objects", "name: x\nfleet:\n  size: 2\n  objects: 0\nworkload:\n  rate: 2", "fleet.objects"},
-		{"spike, no objects", "name: x\nfleet:\n  size: 2\n  objects: 0\nworkload:\n  rate: 0\nevents:\n  - at: 1s\n    do: spike 5 over 1s", "fleet.objects"},
-	}
-	for _, tc := range cases {
+	for _, tc := range rejectCases {
 		t.Run(tc.name, func(t *testing.T) {
 			_, err := Parse([]byte(tc.src))
 			if err == nil || !strings.Contains(err.Error(), tc.wantSub) {
 				t.Fatalf("err = %v, want substring %q", err, tc.wantSub)
+			}
+			if want := fmt.Sprintf("line %d: ", tc.line); tc.line > 0 && !strings.HasPrefix(err.Error(), want) {
+				t.Fatalf("err = %v, want prefix %q", err, want)
 			}
 		})
 	}
