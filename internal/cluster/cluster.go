@@ -118,25 +118,39 @@ func (c *Cluster) RunUntil(t sim.Time) { c.Eng.RunUntil(t) }
 func PeerSpecs(r *rng.Rand, n int, q proto.QualifyThresholds, qualifiedFrac float64) []proto.PeerInfo {
 	out := make([]proto.PeerInfo, n)
 	for i := range out {
-		info := proto.PeerInfo{
-			SpeedWU:       r.Pareto(2, 20, 1.2),
-			BandwidthKbps: r.Pareto(500, 20000, 1.0),
-			UptimeSec:     r.Exp(3 * 3600),
-		}
-		if r.Float64() < qualifiedFrac {
-			if info.SpeedWU < q.MinSpeedWU {
-				info.SpeedWU = q.MinSpeedWU * r.Uniform(1, 2)
-			}
-			if info.BandwidthKbps < q.MinBandwidthKbps {
-				info.BandwidthKbps = q.MinBandwidthKbps * r.Uniform(1, 3)
-			}
-			if info.UptimeSec < q.MinUptimeSec {
-				info.UptimeSec = q.MinUptimeSec * r.Uniform(1, 4)
-			}
-		}
-		out[i] = info
+		out[i] = DrawPeer(r, q, qualifiedFrac, proto.PeerInfo{})
 	}
 	return out
+}
+
+// DrawPeer draws one peer of the PeerSpecs population. Nonzero speed,
+// bandwidth and uptime fields of base are kept in place of the draw;
+// the draws happen regardless, so an override never shifts the stream
+// for later peers.
+func DrawPeer(r *rng.Rand, q proto.QualifyThresholds, qualifiedFrac float64, base proto.PeerInfo) proto.PeerInfo {
+	info := base
+	speed, bw, up := r.Pareto(2, 20, 1.2), r.Pareto(500, 20000, 1.0), r.Exp(3*3600)
+	if info.SpeedWU == 0 {
+		info.SpeedWU = speed
+	}
+	if info.BandwidthKbps == 0 {
+		info.BandwidthKbps = bw
+	}
+	if info.UptimeSec == 0 {
+		info.UptimeSec = up
+	}
+	if r.Float64() < qualifiedFrac {
+		if info.SpeedWU < q.MinSpeedWU {
+			info.SpeedWU = q.MinSpeedWU * r.Uniform(1, 2)
+		}
+		if info.BandwidthKbps < q.MinBandwidthKbps {
+			info.BandwidthKbps = q.MinBandwidthKbps * r.Uniform(1, 3)
+		}
+		if info.UptimeSec < q.MinUptimeSec {
+			info.UptimeSec = q.MinUptimeSec * r.Uniform(1, 4)
+		}
+	}
+	return info
 }
 
 // Catalog is a standard format lattice plus transcoders used by the

@@ -406,37 +406,12 @@ func expandFleet(s *Spec, seed uint64, cat cluster.Catalog) []NodeSpec {
 			}
 			pick -= t.Weight
 		}
-		info := proto.PeerInfo{
+		infos[i] = cluster.DrawPeer(fleetR, q, s.Fleet.Qualified, proto.PeerInfo{
 			SpeedWU:       tpl.SpeedWU,
 			BandwidthKbps: tpl.BandwidthKbps,
 			UptimeSec:     tpl.UptimeSec,
-		}
-		// Unset capabilities follow the heavy-tailed population model of
-		// cluster.PeerSpecs; the draws happen unconditionally so a
-		// template override never shifts the stream for later nodes.
-		speed, bw, up := fleetR.Pareto(2, 20, 1.2), fleetR.Pareto(500, 20000, 1.0), fleetR.Exp(3*3600)
-		if info.SpeedWU == 0 {
-			info.SpeedWU = speed
-		}
-		if info.BandwidthKbps == 0 {
-			info.BandwidthKbps = bw
-		}
-		if info.UptimeSec == 0 {
-			info.UptimeSec = up
-		}
-		if fleetR.Float64() < s.Fleet.Qualified {
-			if info.SpeedWU < q.MinSpeedWU {
-				info.SpeedWU = q.MinSpeedWU * fleetR.Uniform(1, 2)
-			}
-			if info.BandwidthKbps < q.MinBandwidthKbps {
-				info.BandwidthKbps = q.MinBandwidthKbps * fleetR.Uniform(1, 3)
-			}
-			if info.UptimeSec < q.MinUptimeSec {
-				info.UptimeSec = q.MinUptimeSec * fleetR.Uniform(1, 4)
-			}
-		}
+		})
 		nodes[i] = NodeSpec{Template: tpl.Name}
-		infos[i] = info
 	}
 	cat.Populate(stream(seed, "catalog"), infos, s.Fleet.Services, s.Fleet.Objects, s.Fleet.Replicas, 20)
 	for i := range nodes {
