@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check vet fmt build lint lint-json lockorder-golden loc test race chaos fuzz-wire replay obs dht scenario bench-trace bench bench-all
+.PHONY: check vet fmt build lint lint-json lockorder-golden loc test race chaos fuzz-wire fuzz-scenario replay obs dht scenario bench-trace bench bench-all
 
 # check is the pre-commit gate referenced from README: static checks,
 # full build, race-enabled tests, the record/replay gate, and the
@@ -70,6 +70,12 @@ chaos:
 fuzz-wire:
 	$(GO) test -run '^$$' -fuzz FuzzWireCodec -fuzztime 30s ./internal/live/
 	$(GO) test -run '^$$' -fuzz FuzzDHTMessages -fuzztime 30s ./internal/proto/
+
+# fuzz-scenario feeds random bytes to the scenario file's YAML parser
+# and to the spec decoder behind scenario.Parse (FuzzParseYAML checks
+# both), seeded with every committed scenario and rejection case.
+fuzz-scenario:
+	$(GO) test -run '^$$' -fuzz FuzzParse -fuzztime 60s ./internal/scenario/
 
 # replay is the flight-recorder gate: the record/replay round-trip
 # property tests under the race detector (a chaos recording replays to

@@ -1,11 +1,17 @@
 package scenario
 
-import "testing"
+import (
+	"os"
+	"path/filepath"
+	"testing"
+)
 
-// FuzzParseYAML asserts the hand-rolled decoder never panics or hangs
-// on arbitrary input — it either returns a tree or a positioned error.
-// CI runs the seed corpus via plain `go test`; use `make fuzz-scenario`
-// to explore further.
+// FuzzParseYAML asserts that neither the hand-rolled YAML parser nor
+// the spec decoder behind Parse, which walks Spec by reflection, panics
+// or hangs on arbitrary input: each returns a result or a positioned
+// error. The corpus holds YAML shapes, every committed scenario file
+// and every rejection case. CI runs the seed corpus via plain
+// `go test`; use `make fuzz-scenario` to explore further.
 func FuzzParseYAML(f *testing.F) {
 	seeds := []string{
 		"",
@@ -26,10 +32,28 @@ func FuzzParseYAML(f *testing.F) {
 	for _, s := range seeds {
 		f.Add([]byte(s))
 	}
+	files, err := filepath.Glob("../../scenarios/*.yaml")
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, path := range files {
+		src, err := os.ReadFile(path)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(src)
+	}
+	for _, tc := range rejectCases {
+		f.Add([]byte(tc.src))
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		node, err := parseYAML(data)
 		if err == nil && node == nil {
 			t.Fatal("nil node with nil error")
+		}
+		s, err := Parse(data)
+		if err == nil && (s == nil || s.Name == "" || s.Fleet.Size < 1) {
+			t.Fatalf("Parse accepted an invalid spec: %#v", s)
 		}
 	})
 }
