@@ -8,7 +8,6 @@ import (
 	"repro/internal/env"
 	"repro/internal/live"
 	"repro/internal/metrics"
-	"repro/internal/stats"
 )
 
 // LiveHooks injects wall-clock access into the live runner. This
@@ -65,19 +64,13 @@ func RunLive(p *Plan, opts LiveOptions) (*Report, error) {
 		pace = 1
 	}
 
-	cfg := core.DefaultConfig()
-	if p.Spec.Discovery != "" {
-		cfg.Discovery = p.Spec.Discovery
-	}
+	cfg := p.config()
 	if opts.Hooks.Nanotime != nil {
 		cfg.Nanotime = opts.Hooks.Nanotime
 	}
 	rt := live.NewRuntime(p.Seed)
 	events := &core.Events{}
-	sk := stats.NewSet(0, 0, 0)
-	events.AttachSketches(sk)
-	dec := core.NewDecisionLog(0)
-	events.AttachDecisions(dec)
+	ob := observe(events)
 	fi := rt.EnsureFaultInjector()
 
 	var tr *live.TCPTransport
@@ -107,7 +100,7 @@ func RunLive(p *Plan, opts LiveOptions) (*Report, error) {
 		if wait := due - opts.Hooks.NowMicros(); wait > 0 {
 			opts.Hooks.SleepMicros(wait)
 		}
-		h.apply(a)
+		p.apply(h, a)
 	}
 	endAt := start + int64(float64(p.Spec.Duration)/pace)
 	if wait := endAt - opts.Hooks.NowMicros(); wait > 0 {
@@ -115,19 +108,14 @@ func RunLive(p *Plan, opts LiveOptions) (*Report, error) {
 	}
 
 	fs := fi.Stats()
-	o := &Outcome{
-		Events:     events.Snapshot(),
-		MissRate:   events.MissRate(),
+	return ob.report(p, "live", Outcome{
 		NowMicros:  rt.NowMicros(),
-		Quantile:   sk.Quantile,
-		Decisions:  dec.Snapshot(),
 		FaultDrops: fs.Dropped,
 		FaultDups:  fs.Duplicated,
-	}
-	return Evaluate(p.Spec, "live", p.Seed, o), nil
+	}), nil
 }
 
-// liveHost applies plan actions to a live runtime. Node indexes are the
+// liveHost runs plan actions on a live runtime. Node indexes are the
 // global IDs (AddNodeWithID), so multi-part fleets agree on addressing.
 type liveHost struct {
 	rt     *live.Runtime
@@ -141,122 +129,79 @@ type liveHost struct {
 	dead   []int        // indexes this host killed or stopped
 }
 
-func (h *liveHost) owns(i int) bool { return i%h.parts == h.part }
+// local returns the peer this part hosts under id, or nil.
+func (h *liveHost) local(id env.NodeID) *core.Peer {
+	if int(id)%h.parts != h.part {
+		return nil
+	}
+	return h.peers[id]
+}
 
-// id resolves a plan target. For TargetRM only locally hosted peers are
-// consulted (multi-part scenarios should avoid rm targets); lowest
-// RM-holding index wins so concurrent runs agree when one RM exists.
-func (h *liveHost) id(target int) (env.NodeID, bool) {
-	switch {
-	case target == TargetAny:
-		return live.AnyNode, true
-	case target == TargetRM:
-		for i, p := range h.peers {
-			if p == nil || containsInt(h.dead, i) {
-				continue
-			}
-			is := false
-			pp := p
-			h.rt.Call(env.NodeID(i), func() { is = pp.IsRM() })
-			if is {
-				return env.NodeID(i), true
-			}
+func (h *liveHost) start(i int) {
+	if i%h.parts != h.part {
+		return
+	}
+	n := &h.plan.Nodes[i]
+	boot := env.NoNode
+	if n.Bootstrap >= 0 {
+		boot = env.NodeID(n.Bootstrap)
+	}
+	p := core.New(h.cfg, n.Info, boot, h.events)
+	h.rt.AddNodeWithID(env.NodeID(i), p)
+	h.peers[i] = p
+}
+
+func (h *liveHost) node(i int) (env.NodeID, bool) {
+	return env.NodeID(i), i >= 0 && i < len(h.peers)
+}
+
+func (h *liveHost) alive(id env.NodeID) bool { return !containsInt(h.dead, int(id)) }
+
+// rm consults only locally hosted peers (multi-part scenarios should
+// avoid rm targets); the lowest RM-holding index wins so concurrent
+// runs agree when one RM exists.
+func (h *liveHost) rm() (env.NodeID, bool) {
+	for i, p := range h.peers {
+		if p == nil || containsInt(h.dead, i) {
+			continue
 		}
-		return 0, false
-	case target >= 0 && target < len(h.peers):
-		return env.NodeID(target), !containsInt(h.dead, target)
+		is := false
+		h.rt.Call(env.NodeID(i), func() { is = p.IsRM() })
+		if is {
+			return env.NodeID(i), true
+		}
 	}
 	return 0, false
 }
 
-func (h *liveHost) apply(a *Action) {
-	switch a.Kind {
-	case ActStart:
-		if !h.owns(a.A) {
-			return
-		}
-		n := &h.plan.Nodes[a.A]
-		boot := env.NoNode
-		if n.Bootstrap >= 0 {
-			boot = env.NodeID(n.Bootstrap)
-		}
-		p := core.New(h.cfg, n.Info, boot, h.events)
-		h.rt.AddNodeWithID(env.NodeID(a.A), p)
-		h.peers[a.A] = p
-	case ActSubmit:
-		if !h.owns(a.A) {
-			return
-		}
-		if p := h.peers[a.A]; p != nil && !containsInt(h.dead, a.A) {
-			spec := a.Spec
-			spec.Origin = env.NodeID(a.A)
-			h.rt.Call(env.NodeID(a.A), func() { p.SubmitTask(spec) })
-		}
-	case ActCrash, ActLeave:
-		id, ok := h.id(a.A)
-		if !ok || !h.owns(int(id)) || h.peers[int(id)] == nil {
-			return
-		}
-		if a.Kind == ActCrash {
-			h.rt.Kill(id)
-		} else {
-			h.rt.Stop(id)
-		}
-		h.dead = append(h.dead, int(id))
-	case ActSever:
-		// Installed on every part: each sender suppresses its own side.
-		ia, oka := h.id(a.A)
-		ib, okb := h.id(a.B)
-		if oka && okb {
-			h.fi.Sever(ia, ib)
-		}
-	case ActHeal:
-		ia, oka := h.id(a.A)
-		ib, okb := h.id(a.B)
-		if oka && okb {
-			h.fi.Heal(ia, ib)
-		}
-	case ActHealAll:
-		h.fi.Clear()
-	case ActFault:
-		ia, oka := h.id(a.A)
-		ib, okb := h.id(a.B)
-		if oka && okb {
-			h.fi.Set(ia, ib, live.FaultRule{
-				Drop:  a.Fault.Drop,
-				Dup:   a.Fault.Dup,
-				Delay: time.Duration(a.Fault.DelayMicros) * time.Microsecond,
-			})
-		}
-	case ActLoad:
-		id, ok := h.id(a.A)
-		if !ok || !h.owns(int(id)) {
-			return
-		}
-		if p := h.peers[int(id)]; p != nil {
-			h.rt.Call(id, func() { p.SetBackgroundLoad(p.Info().SpeedWU * a.Frac) })
-		}
-	case ActCatalog:
-		id, ok := h.id(a.A)
-		if !ok || !h.owns(int(id)) {
-			return
-		}
-		if p := h.peers[int(id)]; p != nil {
-			h.rt.Call(id, func() {
-				if a.Op == "add" {
-					p.AddObject(h.plan.CatalogObject(a.Name))
-				} else {
-					p.RemoveObject(a.Name)
-				}
-			})
-		}
-	case ActPartition:
-		for _, pair := range CrossPairs(a.Groups) {
-			h.fi.Sever(env.NodeID(pair[0]), env.NodeID(pair[1]))
-		}
-	case ActHealPairs:
-		for _, pair := range a.Pairs {
-			h.fi.Heal(env.NodeID(pair[0]), env.NodeID(pair[1]))
-		}
+func (h *liveHost) call(id env.NodeID, fn func(*core.Peer)) {
+	if p := h.local(id); p != nil {
+		h.rt.Call(id, func() { fn(p) })
 	}
+}
+
+func (h *liveHost) stop(id env.NodeID, crash bool) {
+	if h.local(id) == nil {
+		return
+	}
+	if crash {
+		h.rt.Kill(id)
+	} else {
+		h.rt.Stop(id)
+	}
+	h.dead = append(h.dead, int(id))
+}
+
+// Fault rules are installed on every part: each sender suppresses its
+// own side.
+func (h *liveHost) sever(a, b env.NodeID) { h.fi.Sever(a, b) }
+func (h *liveHost) heal(a, b env.NodeID)  { h.fi.Heal(a, b) }
+func (h *liveHost) healAll()              { h.fi.Clear() }
+
+func (h *liveHost) setFault(a, b env.NodeID, f Fault) {
+	h.fi.Set(a, b, live.FaultRule{
+		Drop:  f.Drop,
+		Dup:   f.Dup,
+		Delay: time.Duration(f.DelayMicros) * time.Microsecond,
+	})
 }

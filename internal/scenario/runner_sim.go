@@ -6,7 +6,6 @@ import (
 	"repro/internal/env"
 	"repro/internal/netsim"
 	"repro/internal/sim"
-	"repro/internal/stats"
 	"repro/internal/trace"
 )
 
@@ -21,151 +20,83 @@ func RunSim(p *Plan) *Report { return RunSimTraced(p, nil) }
 // gate compares the traces of two equal-seed runs byte for byte.
 func RunSimTraced(p *Plan, tr *trace.Tracer) *Report {
 	s := p.Spec
-	cfg := core.DefaultConfig()
-	if s.Discovery != "" {
-		cfg.Discovery = s.Discovery
-	}
 	netCfg := netsim.Config{
 		Latency:    netsim.UniformLatency(s.Net.Latency),
 		JitterFrac: s.Net.Jitter,
 		LossRate:   s.Net.Loss,
 	}
-	c := cluster.New(cfg, netCfg, stream(p.Seed, "cluster").Uint64())
+	c := cluster.New(p.config(), netCfg, stream(p.Seed, "cluster").Uint64())
 	if tr != nil {
 		c.Events.AttachTracer(tr)
 		tr.SetSeed(p.Seed)
 	}
-	sk := stats.NewSet(0, 0, 0)
-	c.Events.AttachSketches(sk)
-	dec := core.NewDecisionLog(0)
-	c.Events.AttachDecisions(dec)
+	ob := observe(c.Events)
 
-	// ids maps plan node index -> netsim NodeID, appended as ActStart
-	// actions fire in index order (equal-time starts keep schedule order).
-	ids := make([]env.NodeID, 0, len(p.Nodes))
-	h := &simHost{c: c, p: p, ids: &ids}
+	h := &simHost{c: c, p: p, ids: make([]env.NodeID, 0, len(p.Nodes))}
 	for i := range p.Actions {
 		a := &p.Actions[i]
-		c.Eng.At(a.At, func() { h.apply(a) })
+		c.Eng.At(a.At, func() { p.apply(h, a) })
 	}
 	c.RunUntil(s.Duration)
 
 	st := c.Net.Stats()
-	o := &Outcome{
-		Events:     c.Events.Snapshot(),
-		MissRate:   c.Events.MissRate(),
+	return ob.report(p, "sim", Outcome{
 		NowMicros:  int64(c.Eng.Now()),
-		Quantile:   sk.Quantile,
-		Decisions:  dec.Snapshot(),
 		FaultDrops: st.FaultDrops,
 		FaultDups:  st.FaultDups,
 		NetDrops:   st.Dropped,
-	}
-	return Evaluate(s, "sim", p.Seed, o)
+	})
 }
 
-// simHost applies plan actions to a cluster.
+// simHost runs plan actions on a cluster. ids maps plan node index to
+// netsim NodeID, appended as starts fire in index order (equal-time
+// starts keep schedule order).
 type simHost struct {
 	c   *cluster.Cluster
 	p   *Plan
-	ids *[]env.NodeID
+	ids []env.NodeID
 }
 
-// id resolves a plan target to a live netsim NodeID; ok is false when
-// the target is unresolvable (not yet started, dead, or no RM exists).
-func (h *simHost) id(target int) (env.NodeID, bool) {
-	switch {
-	case target == TargetAny:
-		return env.NoNode, true // netsim wildcard
-	case target == TargetRM:
-		rms := h.c.RMs()
-		if len(rms) == 0 {
-			return 0, false
-		}
-		return rms[0], true
-	case target >= 0 && target < len(*h.ids):
-		id := (*h.ids)[target]
-		return id, h.c.Net.Alive(id)
+func (h *simHost) start(i int) {
+	n := h.p.Nodes[i]
+	if n.Bootstrap < 0 {
+		h.ids = append(h.ids, h.c.AddFounder(n.Info))
+		return
 	}
-	return 0, false
+	h.ids = append(h.ids, h.c.AddPeer(n.Info, h.ids[n.Bootstrap]))
 }
 
-func (h *simHost) apply(a *Action) {
-	switch a.Kind {
-	case ActStart:
-		n := h.p.Nodes[a.A]
-		if n.Bootstrap < 0 {
-			*h.ids = append(*h.ids, h.c.AddFounder(n.Info))
-			return
-		}
-		boot := (*h.ids)[n.Bootstrap]
-		*h.ids = append(*h.ids, h.c.AddPeer(n.Info, boot))
-	case ActSubmit:
-		if id, ok := h.id(a.A); ok {
-			spec := a.Spec
-			spec.Origin = id
-			h.c.Peer(id).SubmitTask(spec)
-		}
-	case ActCrash:
-		if id, ok := h.id(a.A); ok {
-			h.c.Net.Crash(id)
-		}
-	case ActLeave:
-		if id, ok := h.id(a.A); ok {
-			h.c.Net.Stop(id)
-		}
-	case ActSever:
-		ia, oka := h.id(a.A)
-		ib, okb := h.id(a.B)
-		if oka && okb {
-			h.c.Net.Sever(ia, ib)
-		}
-	case ActHeal:
-		ia, oka := h.id(a.A)
-		ib, okb := h.id(a.B)
-		if oka && okb {
-			h.c.Net.Heal(ia, ib)
-		}
-	case ActHealAll:
-		h.c.Net.ClearFaults()
-	case ActFault:
-		ia, oka := h.id(a.A)
-		ib, okb := h.id(a.B)
-		if oka && okb {
-			h.c.Net.SetFault(ia, ib, netsim.FaultRule{
-				Drop:  a.Fault.Drop,
-				Dup:   a.Fault.Dup,
-				Delay: sim.Time(a.Fault.DelayMicros),
-			})
-		}
-	case ActLoad:
-		if id, ok := h.id(a.A); ok {
-			pr := h.c.Peer(id)
-			pr.SetBackgroundLoad(pr.Info().SpeedWU * a.Frac)
-		}
-	case ActCatalog:
-		if id, ok := h.id(a.A); ok {
-			pr := h.c.Peer(id)
-			if a.Op == "add" {
-				pr.AddObject(h.p.CatalogObject(a.Name))
-			} else {
-				pr.RemoveObject(a.Name)
-			}
-		}
-	case ActPartition:
-		for _, pair := range CrossPairs(a.Groups) {
-			ia, oka := h.id(pair[0])
-			ib, okb := h.id(pair[1])
-			if oka && okb {
-				h.c.Net.Sever(ia, ib)
-			}
-		}
-	case ActHealPairs:
-		for _, pair := range a.Pairs {
-			// Heal regardless of aliveness: rules outlive their nodes.
-			if pair[0] < len(*h.ids) && pair[1] < len(*h.ids) {
-				h.c.Net.Heal((*h.ids)[pair[0]], (*h.ids)[pair[1]])
-			}
-		}
+func (h *simHost) node(i int) (env.NodeID, bool) {
+	if i < 0 || i >= len(h.ids) {
+		return 0, false
 	}
+	return h.ids[i], true
+}
+
+func (h *simHost) alive(id env.NodeID) bool { return h.c.Net.Alive(id) }
+
+func (h *simHost) rm() (env.NodeID, bool) {
+	rms := h.c.RMs()
+	if len(rms) == 0 {
+		return 0, false
+	}
+	return rms[0], true
+}
+
+func (h *simHost) call(id env.NodeID, fn func(*core.Peer)) { fn(h.c.Peer(id)) }
+
+func (h *simHost) stop(id env.NodeID, crash bool) {
+	if crash {
+		h.c.Net.Crash(id)
+	} else {
+		h.c.Net.Stop(id)
+	}
+}
+
+func (h *simHost) sever(a, b env.NodeID) { h.c.Net.Sever(a, b) }
+func (h *simHost) heal(a, b env.NodeID)  { h.c.Net.Heal(a, b) }
+func (h *simHost) healAll()              { h.c.Net.ClearFaults() }
+
+func (h *simHost) setFault(a, b env.NodeID, f Fault) {
+	h.c.Net.SetFault(a, b, netsim.FaultRule{Drop: f.Drop, Dup: f.Dup, Delay: sim.Time(f.DelayMicros)})
 }
