@@ -16,14 +16,9 @@ import (
 // row; a failing run fails the sweep. Table content is deterministic
 // given the seeds; only wall_ms varies.
 func runScenarioBench(path string, seed uint64, seedSet bool, runs int) int {
-	data, err := os.ReadFile(path)
+	spec, err := scenario.Load(path, "")
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "scenario: %v\n", err)
-		return 2
-	}
-	spec, err := scenario.Parse(data)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "scenario %s: %v\n", path, err)
+		fmt.Fprintln(os.Stderr, err)
 		return 2
 	}
 	if !seedSet {

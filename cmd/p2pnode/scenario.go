@@ -19,18 +19,10 @@ import (
 // (comma-separated, index-aligned). pace > 1 compresses the scripted
 // timeline. Exit 0 only when every assertion passed.
 func runScenario(path, partSpec, peers string, pace float64, seed uint64, seedSet bool, reportPath, discovery string) int {
-	data, err := os.ReadFile(path)
+	spec, err := scenario.Load(path, discovery)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "scenario: %v\n", err)
+		fmt.Fprintln(os.Stderr, err)
 		return 1
-	}
-	spec, err := scenario.Parse(data)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "scenario %s: %v\n", path, err)
-		return 1
-	}
-	if discovery != "" {
-		spec.Discovery = discovery
 	}
 	if !seedSet || seed == 0 {
 		seed = spec.Seed

@@ -17,18 +17,10 @@ import (
 // file's own seed drives the run so committed scenarios reproduce their
 // committed reports.
 func runScenario(path string, seed uint64, seedSet bool, reportPath, discovery string) int {
-	data, err := os.ReadFile(path)
+	spec, err := scenario.Load(path, discovery)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "scenario: %v\n", err)
+		fmt.Fprintln(os.Stderr, err)
 		return 1
-	}
-	spec, err := scenario.Parse(data)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "scenario %s: %v\n", path, err)
-		return 1
-	}
-	if discovery != "" {
-		spec.Discovery = discovery
 	}
 	if !seedSet {
 		seed = spec.Seed
