@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+
+	"repro/internal/trace"
 )
 
 // Well-known filenames inside an observability directory, as written by
@@ -44,7 +46,7 @@ func LoadDir(dir string) (NodeData, error) {
 		return n, err
 	}
 	defer f.Close()
-	n.Trace, err = ReadTraceJSONL(f)
+	n.Trace, err = trace.ReadJSONL(f)
 	return n, err
 }
 

@@ -14,7 +14,6 @@ package obs
 import (
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"time"
 
@@ -104,24 +103,7 @@ func getTrace(client *http.Client, url string) ([]trace.Event, error) {
 	if resp.StatusCode != http.StatusOK {
 		return nil, fmt.Errorf("obs: %s: %s", url, resp.Status)
 	}
-	return ReadTraceJSONL(resp.Body)
-}
-
-// ReadTraceJSONL parses Chrome trace-event JSONL (one event object per
-// line, as written by trace.Tracer.WriteJSONL) from r.
-func ReadTraceJSONL(r io.Reader) ([]trace.Event, error) {
-	dec := json.NewDecoder(r)
-	var events []trace.Event
-	for i := 0; ; i++ {
-		var e trace.Event
-		if err := dec.Decode(&e); err != nil {
-			if err == io.EOF {
-				return events, nil
-			}
-			return events, fmt.Errorf("obs: trace event %d: %w", i, err)
-		}
-		events = append(events, e)
-	}
+	return trace.ReadJSONL(resp.Body)
 }
 
 // Fleet is the merged, fleet-wide view the dashboard renders.

@@ -1,10 +1,8 @@
 package replay
 
 import (
-	"bufio"
 	"encoding/json"
 	"fmt"
-	"os"
 	"sort"
 
 	"repro/internal/trace"
@@ -44,35 +42,6 @@ func orMissing(s string) string {
 		return "(missing)"
 	}
 	return s
-}
-
-// ReadTraceJSONL parses a Chrome trace-event JSONL file as written by
-// trace.Tracer.WriteJSONL.
-func ReadTraceJSONL(path string) ([]trace.Event, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	var events []trace.Event
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 1<<16), 1<<22)
-	line := 0
-	for sc.Scan() {
-		line++
-		if len(sc.Bytes()) == 0 {
-			continue
-		}
-		var e trace.Event
-		if err := json.Unmarshal(sc.Bytes(), &e); err != nil {
-			return nil, fmt.Errorf("replay: trace %s line %d: %w", path, line, err)
-		}
-		events = append(events, e)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	return events, nil
 }
 
 // idToTask maps each async span ID to the task name it identifies, using

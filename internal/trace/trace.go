@@ -461,6 +461,25 @@ func (t *Tracer) WriteJSONL(w io.Writer) error {
 	return bw.Flush()
 }
 
+// ReadJSONL parses trace-event JSONL as WriteJSONL writes it: one event
+// per line, blank lines skipped. A parse error names its line.
+func ReadJSONL(r io.Reader) ([]Event, error) {
+	var events []Event
+	sc := bufio.NewScanner(r)
+	sc.Buffer(make([]byte, 0, 1<<16), 1<<22)
+	for line := 1; sc.Scan(); line++ {
+		if len(sc.Bytes()) == 0 {
+			continue
+		}
+		var e Event
+		if err := json.Unmarshal(sc.Bytes(), &e); err != nil {
+			return nil, fmt.Errorf("trace: line %d: %w", line, err)
+		}
+		events = append(events, e)
+	}
+	return events, sc.Err()
+}
+
 // WriteFile writes the trace to path via WriteJSONL.
 func (t *Tracer) WriteFile(path string) error {
 	if t == nil {

@@ -115,6 +115,34 @@ func TestWriteJSONLValidPerLine(t *testing.T) {
 	}
 }
 
+func TestReadJSONLRoundTripAndLineErrors(t *testing.T) {
+	tr := New()
+	tr.BeginSession(1, "t1", 1, 0)
+	tr.Instant(3, "t1", "redirect", 0, 0, A("target_rm", 7))
+	tr.EndSession(9, "t1", 1, 0, "completed")
+	var buf bytes.Buffer
+	if err := tr.WriteJSONL(&buf); err != nil {
+		t.Fatal(err)
+	}
+	got, err := ReadJSONL(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := tr.Snapshot()
+	if len(got) != len(want) {
+		t.Fatalf("read %d events, wrote %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i].Name != want[i].Name || got[i].Phase != want[i].Phase || got[i].TS != want[i].TS || got[i].ID != want[i].ID {
+			t.Errorf("event %d = %+v, want %+v", i, got[i], want[i])
+		}
+	}
+	buf.WriteString("\n{not json\n")
+	if _, err := ReadJSONL(&buf); err == nil || !strings.Contains(err.Error(), "line 5:") {
+		t.Fatalf("err = %v, want one naming line 5", err)
+	}
+}
+
 func TestBoundedBuffer(t *testing.T) {
 	tr := New()
 	tr.SetMaxEvents(3)

@@ -90,12 +90,17 @@ func ReplayRecording(cfg Config, dir string) (*ReplayResult, *TraceDiff, error) 
 		return res, nil, err
 	}
 	recPath := filepath.Join(dir, replay.TraceFile)
-	if _, err := os.Stat(recPath); err != nil {
+	f, err := os.Open(recPath)
+	if os.IsNotExist(err) {
 		return res, nil, nil // no recorded trace (mid-run recording): nothing to compare
 	}
-	recorded, err := replay.ReadTraceJSONL(recPath)
 	if err != nil {
 		return res, nil, err
+	}
+	defer f.Close()
+	recorded, err := trace.ReadJSONL(f)
+	if err != nil {
+		return res, nil, fmt.Errorf("replay: %s: %w", recPath, err)
 	}
 	diff, err := replay.CompareTraces(recorded, tracer.Snapshot())
 	if err != nil {
