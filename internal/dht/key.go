@@ -15,7 +15,6 @@ package dht
 
 import (
 	"encoding/binary"
-	"math/bits"
 
 	"repro/internal/env"
 	"repro/internal/proto"
@@ -103,10 +102,5 @@ func CloserTo(target, x, y proto.DHTKey) bool {
 // distance from self: the position of the highest set bit
 // (0..KeyBits-1), or -1 when the keys are equal.
 func BucketIndex(self, other proto.DHTKey) int {
-	for i := 0; i < len(self); i++ {
-		if x := self[i] ^ other[i]; x != 0 {
-			return KeyBits - 1 - (8*i + bits.LeadingZeros8(x))
-		}
-	}
-	return -1
+	return toWords(self).xor(toWords(other)).bucket()
 }
