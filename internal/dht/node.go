@@ -367,8 +367,10 @@ type lookup struct {
 	target    proto.DHTKey
 	wantValue bool
 	tc        proto.TraceContext
-	shortlist []env.NodeID // distance order, deduped
+	tw        words    // target, for distances
+	shortlist []ranked // distance order, deduped
 	state     map[env.NodeID]int
+	unqueried []env.NodeID // step's scratch
 	inflight  int
 	finished  bool
 	done      func([]env.NodeID, []proto.DHTProvider)
@@ -378,6 +380,7 @@ func (n *Node) lookup(target proto.DHTKey, wantValue bool, tc proto.TraceContext
 	lk := &lookup{
 		n:         n,
 		target:    target,
+		tw:        toWords(target),
 		wantValue: wantValue,
 		tc:        tc,
 		state:     make(map[env.NodeID]int),
@@ -399,17 +402,11 @@ func (lk *lookup) add(id env.NodeID) {
 		return
 	}
 	lk.state[id] = candNew
-	key := NodeKey(id)
-	at := sort.Search(len(lk.shortlist), func(i int) bool {
-		other := NodeKey(lk.shortlist[i])
-		if other == key {
-			return lk.shortlist[i] >= id
-		}
-		return !CloserTo(lk.target, other, key)
-	})
-	lk.shortlist = append(lk.shortlist, env.NoNode)
+	r := ranked{dist: toWords(NodeKey(id)).xor(lk.tw), id: id}
+	at := sort.Search(len(lk.shortlist), func(i int) bool { return !lk.shortlist[i].before(r) })
+	lk.shortlist = append(lk.shortlist, ranked{})
 	copy(lk.shortlist[at+1:], lk.shortlist[at:])
-	lk.shortlist[at] = id
+	lk.shortlist[at] = r
 }
 
 // step tops the probe window back up to Alpha and detects termination.
@@ -419,10 +416,10 @@ func (lk *lookup) step() {
 	}
 	// Termination scan over the K closest: done when none are unqueried
 	// and none are in flight (failed ones are written off).
-	unqueried := []env.NodeID{}
+	unqueried := lk.unqueried[:0]
 	settled := 0
 	for i := 0; i < len(lk.shortlist) && settled < lk.n.cfg.K; i++ {
-		id := lk.shortlist[i]
+		id := lk.shortlist[i].id
 		switch lk.state[id] {
 		case candNew:
 			unqueried = append(unqueried, id)
@@ -431,6 +428,7 @@ func (lk *lookup) step() {
 			settled++
 		}
 	}
+	lk.unqueried = unqueried
 	if len(unqueried) == 0 && lk.inflight == 0 {
 		lk.finish(nil)
 		return
@@ -486,9 +484,9 @@ func (lk *lookup) finish(values []proto.DHTProvider) {
 	}
 	lk.finished = true
 	var closest []env.NodeID
-	for _, id := range lk.shortlist {
-		if lk.state[id] == candResponded {
-			closest = append(closest, id)
+	for _, c := range lk.shortlist {
+		if lk.state[c.id] == candResponded {
+			closest = append(closest, c.id)
 			if len(closest) == lk.n.cfg.K {
 				break
 			}
