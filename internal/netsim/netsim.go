@@ -11,6 +11,7 @@ package netsim
 
 import (
 	"fmt"
+	"reflect"
 	"sort"
 	"strings"
 
@@ -80,6 +81,7 @@ type Network struct {
 	stats  Stats
 	faults env.PairRules[FaultRule] // nil until a rule is installed, and again after ClearFaults
 	faultR *rng.Rand                // rolls for installed rules; split lazily so fault-free runs draw identically
+	names  map[reflect.Type]string  // Stats.PerType key per message type, rendered once
 }
 
 // node is the per-actor runtime state.
@@ -99,6 +101,7 @@ func New(eng *sim.Engine, r *rng.Rand, cfg Config) *Network {
 		r:     r,
 		cfg:   cfg,
 		nodes: make(map[env.NodeID]*node),
+		names: make(map[reflect.Type]string),
 	}
 }
 
@@ -269,7 +272,7 @@ func (n *Network) accountSend(m env.Message) float64 {
 	if n.stats.PerType == nil {
 		n.stats.PerType = make(map[string]uint64)
 	}
-	n.stats.PerType[typeName(m)]++
+	n.stats.PerType[n.typeName(m)]++
 	var kb float64
 	if s, ok := m.(env.Sized); ok {
 		kb = s.SizeKB()
@@ -315,12 +318,18 @@ func (n *Network) transmit(src, dst env.NodeID, m env.Message, extra sim.Time) {
 	})
 }
 
-// typeName renders a message's type without the package path.
-func typeName(m env.Message) string {
+// typeName renders a message's type without the package path, once
+// per type.
+func (n *Network) typeName(m env.Message) string {
+	t := reflect.TypeOf(m)
+	if s, ok := n.names[t]; ok {
+		return s
+	}
 	s := fmt.Sprintf("%T", m)
 	if i := strings.LastIndexByte(s, '.'); i >= 0 {
-		return s[i+1:]
+		s = s[i+1:]
 	}
+	n.names[t] = s
 	return s
 }
 
