@@ -159,19 +159,21 @@ bench-trace:
 	$(GO) test -run '^$$' -bench 'SimulatedSession|TraceDisabled' \
 		-benchmem -benchtime 50x .
 
-# bench is the Quick regression gate (CI smoke job): the Figure-3
-# allocation hot path, the wire-codec encode/decode benchmarks, and the
-# TCP delivery benchmark (the wire-protocol-v2 ratchet: msgs/sec/core
-# and allocs/msg), each min of 3 runs, compared against the latest
-# committed snapshot in bench/. Fails on >20% ns/op or allocs/op
+# bench is the Quick regression gate (CI smoke job), four ratchets: the
+# Figure-3 allocation hot path (min of 3 runs), then the wire-codec
+# encode/decode benchmarks, the TCP delivery benchmark (the
+# wire-protocol-v2 ratchet: msgs/sec/core and allocs/msg) and the DHT
+# provider lookup (min of 5 runs each), compared against the latest
+# committed snapshot in bench/. Fails on a >50% ns/op or allocs/op
 # regression; writes bench/BENCH_<today>.json on success (snapshots
-# merge by benchmark name, so the three invocations share one file).
-# All three ratchets run with a 50% tolerance: they time micro-scale
-# operations where shared-runner timer noise exceeds the default 20%
-# (observed min-of-N spread on a 1-core runner), and the regression
-# class they guard against — a reflection-based encoder creeping back
-# onto the wire path, an allocation landing on the per-message hot
-# path — shows up as 2-100x, not 1.2x. The WireCodec gob-baseline rows
+# merge by benchmark name, so the four invocations share one file).
+# All four run with a 50% tolerance rather than the tool's default 20%:
+# they time micro-scale operations where shared-runner timer noise
+# exceeds 20% (observed min-of-N spread on a 1-core runner), and the
+# regression class they guard against — a reflection-based encoder
+# creeping back onto the wire path, an allocation landing on the
+# per-message hot path, a routing-table sort returning to every DHT
+# RPC — shows up as 2-100x, not 1.2x. The WireCodec gob-baseline rows
 # time a test-only gob encoder kept as context for the codec rows.
 bench: bin/p2pbench
 	./bin/p2pbench -regress -regress-bench AllocationFigure3 -regress-count 3 \
