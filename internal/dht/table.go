@@ -68,7 +68,6 @@ func (a ranked) before(b ranked) bool {
 type Table struct {
 	selfID  env.NodeID
 	self    proto.DHTKey
-	selfW   words
 	k       int
 	n       int
 	buckets [KeyBits][]contact // index 0 = closest half-space; front = oldest
@@ -77,8 +76,7 @@ type Table struct {
 
 // NewTable creates a table for the given node with bucket capacity k.
 func NewTable(self env.NodeID, k int) *Table {
-	key := NodeKey(self)
-	return &Table{selfID: self, self: key, selfW: toWords(key), k: k}
+	return &Table{selfID: self, self: NodeKey(self), k: k}
 }
 
 // SelfKey returns the owner's key-space ID.
@@ -91,7 +89,7 @@ func (t *Table) Len() int { return t.n }
 // position in that bucket (-1 when absent) and its key.
 func (t *Table) find(node env.NodeID) (i, j int, key words) {
 	key = toWords(NodeKey(node))
-	i = t.selfW.xor(key).bucket()
+	i = toWords(t.self).xor(key).bucket()
 	if i < 0 {
 		return i, -1, key
 	}
@@ -163,7 +161,7 @@ func (t *Table) Remove(node env.NodeID) {
 func (t *Table) Closest(target proto.DHTKey, n int) []env.NodeID {
 	n = min(n, t.n)
 	tw := toWords(target)
-	j := t.selfW.xor(tw).bucket()
+	j := toWords(t.self).xor(tw).bucket()
 	sel := t.scratch[:0]
 	if j >= 0 {
 		sel = nearest(sel, n, t.buckets[j], tw)
