@@ -73,6 +73,43 @@ func TestEveryStopFromCallback(t *testing.T) {
 	}
 }
 
+func TestEveryStopFromCallbackLeavesNothingPending(t *testing.T) {
+	eng := sim.New()
+	clk := SimClock{Eng: eng}
+	var ticks []sim.Time
+	var stop Cancel
+	stop = Every(clk, 10, 5, func() {
+		ticks = append(ticks, eng.Now())
+		if len(ticks) == 4 {
+			stop()
+		}
+	})
+	eng.RunUntil(1000)
+	want := []sim.Time{10, 15, 20, 25}
+	if len(ticks) != len(want) {
+		t.Fatalf("ticks = %v", ticks)
+	}
+	for i := range want {
+		if ticks[i] != want[i] {
+			t.Fatalf("ticks = %v, want %v", ticks, want)
+		}
+	}
+	if eng.Pending() != 0 {
+		t.Fatalf("pending = %d after stop", eng.Pending())
+	}
+}
+
+func TestEveryStopBeforeFirstTick(t *testing.T) {
+	eng := sim.New()
+	fired := false
+	stop := Every(SimClock{Eng: eng}, 10, 5, func() { fired = true })
+	stop()
+	eng.RunUntil(100)
+	if fired {
+		t.Fatal("stopped ticker fired")
+	}
+}
+
 func TestEveryStopIdempotent(t *testing.T) {
 	eng := sim.New()
 	clk := SimClock{Eng: eng}

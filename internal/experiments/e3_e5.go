@@ -40,13 +40,13 @@ func runAllocCell(seed uint64, alloc graph.Allocator, rate float64, horizon sim.
 	// Sample domain fairness each second during the loaded phase.
 	var fairSamples metrics.Summary
 	rmPeer := c.Peer(0)
-	tick := c.Eng.Every(start, sim.Second, func() {
+	stop := env.Every(env.SimClock{Eng: c.Eng}, start, sim.Second, func() {
 		if rmPeer.IsRM() {
 			fairSamples.Observe(rmPeer.DomainFairness())
 		}
 	})
 	c.RunUntil(start + horizon)
-	tick.Stop()
+	stop()
 	c.RunUntil(c.Eng.Now() + 120*sim.Second) // drain
 
 	ev := c.Events.Snapshot()

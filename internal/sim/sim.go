@@ -139,42 +139,6 @@ func (e *Engine) After(delay Time, fn func()) Handle {
 	return e.At(e.now+delay, fn)
 }
 
-// Every schedules fn to run now+delay and then every period until the
-// returned Ticker is stopped.
-func (e *Engine) Every(delay, period Time, fn func()) *Ticker {
-	if period <= 0 {
-		panic("sim: Every with non-positive period")
-	}
-	t := &Ticker{engine: e, period: period, fn: fn}
-	t.handle = e.After(delay, t.tick)
-	return t
-}
-
-// Ticker is a repeating event created by Every.
-type Ticker struct {
-	engine  *Engine
-	period  Time
-	fn      func()
-	handle  Handle
-	stopped bool
-}
-
-func (t *Ticker) tick() {
-	if t.stopped {
-		return
-	}
-	t.fn()
-	if !t.stopped { // fn may have stopped the ticker
-		t.handle = t.engine.After(t.period, t.tick)
-	}
-}
-
-// Stop cancels future ticks.
-func (t *Ticker) Stop() {
-	t.stopped = true
-	t.handle.Cancel()
-}
-
 // Halt stops the current Run/RunUntil after the in-flight event returns.
 func (e *Engine) Halt() { e.halted = true }
 

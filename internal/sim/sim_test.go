@@ -183,42 +183,6 @@ func TestHalt(t *testing.T) {
 	}
 }
 
-func TestTicker(t *testing.T) {
-	e := New()
-	var times []Time
-	var tk *Ticker
-	tk = e.Every(10, 5, func() {
-		times = append(times, e.Now())
-		if len(times) == 4 {
-			tk.Stop()
-		}
-	})
-	e.RunUntil(1000)
-	want := []Time{10, 15, 20, 25}
-	if len(times) != 4 {
-		t.Fatalf("ticks = %v", times)
-	}
-	for i := range want {
-		if times[i] != want[i] {
-			t.Fatalf("ticks = %v, want %v", times, want)
-		}
-	}
-	if e.Pending() != 0 {
-		t.Fatalf("pending = %d after Stop", e.Pending())
-	}
-}
-
-func TestTickerStopBeforeFirstTick(t *testing.T) {
-	e := New()
-	fired := false
-	tk := e.Every(10, 5, func() { fired = true })
-	tk.Stop()
-	e.RunUntil(100)
-	if fired {
-		t.Fatal("stopped ticker fired")
-	}
-}
-
 func TestStepReturnsFalseWhenEmpty(t *testing.T) {
 	e := New()
 	if e.Step() {
