@@ -40,7 +40,7 @@ func runAllocCell(seed uint64, alloc graph.Allocator, rate float64, horizon sim.
 	// Sample domain fairness each second during the loaded phase.
 	var fairSamples metrics.Summary
 	rmPeer := c.Peer(0)
-	stop := env.Every(env.SimClock{Eng: c.Eng}, start, sim.Second, func() {
+	stop := env.Every(env.SimClock{Eng: c.Eng}, sim.Second, sim.Second, func() {
 		if rmPeer.IsRM() {
 			fairSamples.Observe(rmPeer.DomainFairness())
 		}
