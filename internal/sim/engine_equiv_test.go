@@ -1,0 +1,324 @@
+package sim
+
+import (
+	"container/heap"
+	"fmt"
+	"testing"
+
+	"repro/internal/rng"
+)
+
+// refEngine is the container/heap engine the inline 4-ary heap replaced,
+// kept test-only as its oracle. Cancelled events stay queued, marked
+// dead, until they reach the head.
+type refEngine struct {
+	now    Time
+	seq    uint64
+	queue  refQueue
+	fired  uint64
+	halted bool
+}
+
+type refEvent struct {
+	at    Time
+	seq   uint64
+	fn    func()
+	index int // heap index, -1 once popped
+	dead  bool
+}
+
+type refQueue []*refEvent
+
+func (q refQueue) Len() int { return len(q) }
+func (q refQueue) Less(i, j int) bool {
+	if q[i].at != q[j].at {
+		return q[i].at < q[j].at
+	}
+	return q[i].seq < q[j].seq
+}
+func (q refQueue) Swap(i, j int) {
+	q[i], q[j] = q[j], q[i]
+	q[i].index = i
+	q[j].index = j
+}
+func (q *refQueue) Push(x any) {
+	ev := x.(*refEvent)
+	ev.index = len(*q)
+	*q = append(*q, ev)
+}
+func (q *refQueue) Pop() any {
+	old := *q
+	n := len(old)
+	ev := old[n-1]
+	old[n-1] = nil
+	ev.index = -1
+	*q = old[:n-1]
+	return ev
+}
+
+func (e *refEngine) Now() Time     { return e.now }
+func (e *refEngine) Fired() uint64 { return e.fired }
+func (e *refEngine) Halt()         { e.halted = true }
+
+// live counts the queued events that are not cancelled.
+func (e *refEngine) live() int {
+	n := 0
+	for _, ev := range e.queue {
+		if !ev.dead {
+			n++
+		}
+	}
+	return n
+}
+
+func (e *refEngine) schedule(at Time, fn func()) func() bool {
+	if at < e.now {
+		panic("ref: scheduling in the past")
+	}
+	ev := &refEvent{at: at, seq: e.seq, fn: fn}
+	e.seq++
+	heap.Push(&e.queue, ev)
+	return func() bool {
+		if ev.dead || ev.index < 0 {
+			return false
+		}
+		ev.dead = true
+		return true
+	}
+}
+
+func (e *refEngine) Step() bool {
+	for len(e.queue) > 0 {
+		ev := heap.Pop(&e.queue).(*refEvent)
+		if ev.dead {
+			continue
+		}
+		e.now = ev.at
+		e.fired++
+		ev.fn()
+		return true
+	}
+	return false
+}
+
+func (e *refEngine) RunUntil(deadline Time) {
+	e.halted = false
+	for !e.halted {
+		for len(e.queue) > 0 && e.queue[0].dead {
+			heap.Pop(&e.queue)
+		}
+		if len(e.queue) == 0 || e.queue[0].at > deadline {
+			break
+		}
+		e.Step()
+	}
+	if e.now < deadline {
+		e.now = deadline
+	}
+}
+
+func (e *refEngine) Run() {
+	e.halted = false
+	for !e.halted && e.Step() {
+	}
+}
+
+// scriptEngine is the surface an engine script drives.
+type scriptEngine interface {
+	Now() Time
+	Fired() uint64
+	Halt()
+	Step() bool
+	RunUntil(Time)
+	Run()
+	schedule(at Time, fn func()) func() bool
+	live() int
+}
+
+// engineUnderTest adapts Engine to scriptEngine, checks its heap and
+// cancelled count, and counts compactions and those that left the queue
+// empty.
+type engineUnderTest struct {
+	*Engine
+	t           *testing.T
+	compactions int
+	emptied     int
+}
+
+func (e *engineUnderTest) live() int { return e.Pending() }
+
+func (e *engineUnderTest) schedule(at Time, fn func()) func() bool {
+	h := e.At(at, fn)
+	return func() bool {
+		before := len(e.queue)
+		ok := h.Cancel()
+		if len(e.queue) < before {
+			e.compactions++
+			if len(e.queue) == 0 {
+				e.emptied++
+			}
+		}
+		return ok
+	}
+}
+
+// check verifies the heap order over (at, seq) and that cancelled
+// equals the number of queued entries whose event was cancelled.
+func (e *engineUnderTest) check() {
+	e.t.Helper()
+	dead := 0
+	for i, x := range e.queue {
+		if x.ev.fn == nil {
+			dead++
+		}
+		if i > 0 && x.less(e.queue[(i-1)/4]) {
+			e.t.Fatalf("heap order broken at slot %d", i)
+		}
+	}
+	if dead != e.cancelled {
+		e.t.Fatalf("cancelled = %d, %d dead entries queued", e.cancelled, dead)
+	}
+}
+
+// scriptShape sets what one script emphasises.
+type scriptShape struct {
+	name   string
+	ops    int
+	spread int // scheduling offsets are drawn from [0, spread)
+	batch  int // largest batch scheduled by one op
+	cancel int // out of 10: how often an op cancels rather than runs
+}
+
+var scriptShapes = []scriptShape{
+	{name: "ties", ops: 400, spread: 3, batch: 12, cancel: 3},
+	{name: "sparse", ops: 400, spread: 5000, batch: 6, cancel: 3},
+	{name: "compaction", ops: 300, spread: 2000, batch: 300, cancel: 6},
+}
+
+// script drives one engine from an rng stream. Handlers also draw from
+// the stream, so two engines stay in step only while they fire the same
+// events in the same order; the log records every observable result.
+type script struct {
+	shape   scriptShape
+	r       *rng.Rand
+	eng     scriptEngine
+	cancels []func() bool
+	times   []Time
+	log     []string
+	check   func() // run after every op
+}
+
+func (s *script) logf(format string, args ...any) {
+	s.log = append(s.log, fmt.Sprintf(format, args...))
+}
+
+func (s *script) schedule(at Time) {
+	id := len(s.cancels)
+	s.times = append(s.times, at)
+	s.cancels = append(s.cancels, s.eng.schedule(at, func() { s.fire(id) }))
+}
+
+func (s *script) cancel(id int) {
+	s.logf("cancel %d %v", id, s.cancels[id]())
+}
+
+// fire is every event's handler: it logs, then sometimes schedules,
+// cancels (itself or another event) or halts the run.
+func (s *script) fire(id int) {
+	now := s.eng.Now()
+	s.logf("fire %d at %d fired %d live %d", id, now, s.eng.Fired(), s.eng.live())
+	switch k := s.r.Intn(20); {
+	case k < 3:
+		s.schedule(now) // After(0)
+	case k < 5:
+		s.schedule(now + Time(s.r.Intn(s.shape.spread)))
+	case k < 6:
+		s.cancel(id) // its own handle: already fired
+	case k < 9:
+		s.cancel(s.r.Intn(len(s.cancels)))
+	case k < 10:
+		s.eng.Halt()
+	}
+}
+
+func (s *script) run() {
+	for op := 0; op < s.shape.ops; op++ {
+		switch k := s.r.Intn(10); {
+		case k < 3:
+			for n := 1 + s.r.Intn(s.shape.batch); n > 0; n-- {
+				s.schedule(s.eng.Now() + Time(s.r.Intn(s.shape.spread)))
+			}
+		case k < 3+s.shape.cancel && len(s.cancels) > 0:
+			for n := 1 + s.r.Intn(s.shape.batch); n > 0; n-- {
+				s.cancel(s.r.Intn(len(s.cancels)))
+			}
+		case k == 9 && s.r.Intn(4) == 0:
+			for id := range s.cancels { // cancel every pending event
+				s.cancel(id)
+			}
+		default:
+			s.advance()
+		}
+		s.logf("op %d now %d fired %d live %d", op, s.eng.Now(), s.eng.Fired(), s.eng.live())
+		s.check()
+	}
+	s.eng.Run()
+	for s.eng.live() > 0 { // runs halted by a handler resume here
+		s.eng.Run()
+	}
+	s.logf("end now %d fired %d live %d", s.eng.Now(), s.eng.Fired(), s.eng.live())
+}
+
+// advance moves the clock: one Step, a RunUntil whose deadline falls
+// between event times, exactly on one, or at now, or a full Run.
+func (s *script) advance() {
+	switch k := s.r.Intn(10); {
+	case k < 3:
+		s.logf("step %v", s.eng.Step())
+	case k < 6:
+		s.eng.RunUntil(s.eng.Now() + Time(s.r.Intn(s.shape.spread)))
+	case k < 8:
+		at := s.times[s.r.Intn(len(s.times))]
+		if at < s.eng.Now() {
+			at = s.eng.Now()
+		}
+		s.eng.RunUntil(at)
+	case k < 9:
+		s.eng.RunUntil(s.eng.Now())
+	default:
+		s.eng.Run()
+	}
+}
+
+// TestEngineMatchesReference drives the engine and the container/heap
+// reference with the same rng-seeded scripts and requires the same fired
+// sequence, clock, Fired count, Cancel results and live count throughout.
+func TestEngineMatchesReference(t *testing.T) {
+	compactions, emptied := 0, 0
+	for _, shape := range scriptShapes {
+		for seed := uint64(1); seed <= 8; seed++ {
+			ref := &script{shape: shape, r: rng.New(seed), eng: &refEngine{}, check: func() {}}
+			eut := &engineUnderTest{Engine: New(), t: t}
+			got := &script{shape: shape, r: rng.New(seed), eng: eut, check: eut.check}
+			ref.schedule(0) // every script starts with an event to run
+			got.schedule(0)
+			ref.run()
+			got.run()
+			eut.check()
+			compactions += eut.compactions
+			emptied += eut.emptied
+			if len(ref.log) != len(got.log) {
+				t.Errorf("%s seed %d: %d log lines, reference %d", shape.name, seed, len(got.log), len(ref.log))
+			}
+			for i := range min(len(ref.log), len(got.log)) {
+				if ref.log[i] != got.log[i] {
+					t.Fatalf("%s seed %d: line %d = %q, reference %q", shape.name, seed, i, got.log[i], ref.log[i])
+				}
+			}
+		}
+	}
+	t.Logf("%d compactions, %d left the queue empty", compactions, emptied)
+	if compactions < 20 || emptied == 0 {
+		t.Fatalf("%d compactions, %d to an empty queue: the scripts no longer cross the threshold", compactions, emptied)
+	}
+}

@@ -3,6 +3,8 @@ package sim
 import (
 	"testing"
 	"testing/quick"
+
+	"repro/internal/rng"
 )
 
 func TestTimeString(t *testing.T) {
@@ -183,6 +185,37 @@ func TestHalt(t *testing.T) {
 	}
 }
 
+// Cancelling every pending event, at every queue size around the
+// compaction threshold, leaves nothing pending and nothing to fire, and
+// the engine keeps working afterwards.
+func TestCancelEveryPendingEvent(t *testing.T) {
+	for n := 1; n <= 200; n++ {
+		e := New()
+		hs := make([]Handle, n)
+		for i := range hs {
+			hs[i] = e.At(Time(i%7), func() { t.Fatalf("n=%d: cancelled event fired", n) })
+		}
+		for i, h := range hs {
+			if !h.Cancel() {
+				t.Fatalf("n=%d: Cancel %d on a pending event returned false", n, i)
+			}
+			if got := e.Pending(); got != n-i-1 {
+				t.Fatalf("n=%d: Pending = %d after %d cancels", n, got, i+1)
+			}
+		}
+		e.Run()
+		if e.Fired() != 0 || e.Pending() != 0 {
+			t.Fatalf("n=%d: Fired = %d, Pending = %d", n, e.Fired(), e.Pending())
+		}
+		fired := false
+		e.After(1, func() { fired = true })
+		e.Run()
+		if !fired {
+			t.Fatalf("n=%d: event scheduled after a full cancel did not fire", n)
+		}
+	}
+}
+
 func TestStepReturnsFalseWhenEmpty(t *testing.T) {
 	e := New()
 	if e.Step() {
@@ -224,4 +257,28 @@ func BenchmarkScheduleAndRun(b *testing.B) {
 		}
 	}
 	e.Run()
+}
+
+// BenchmarkEngineTimers models the DHT's RPC timers: every request arms a
+// 2 s timeout, and four replies in five cancel it 1–50 ms later. A request
+// leaves every 250 µs of virtual time, so about 8k timeouts are armed at
+// once. One op is one request and the virtual time up to the next.
+func BenchmarkEngineTimers(b *testing.B) {
+	e := New()
+	r := rng.New(1)
+	request := func() {
+		timeout := e.After(2*Second, func() {})
+		if r.Intn(5) != 0 {
+			e.After(Time(1+r.Intn(50))*Millisecond, func() { timeout.Cancel() })
+		}
+		e.RunUntil(e.Now() + 250*Microsecond)
+	}
+	for i := 0; i < int(2*Second/(250*Microsecond)); i++ { // reach steady state
+		request()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		request()
+	}
 }
