@@ -76,8 +76,7 @@ type Network struct {
 	eng    *sim.Engine
 	r      *rng.Rand
 	cfg    Config
-	nodes  map[env.NodeID]*node
-	next   env.NodeID
+	nodes  []*node // indexed by NodeID, which AddNode assigns densely from 0
 	stats  Stats
 	faults env.PairRules[FaultRule] // nil until a rule is installed, and again after ClearFaults
 	faultR *rng.Rand                // rolls for installed rules; split lazily so fault-free runs draw identically
@@ -86,11 +85,12 @@ type Network struct {
 
 // node is the per-actor runtime state.
 type node struct {
-	net   *Network
-	id    env.NodeID
-	actor env.Actor
-	r     *rng.Rand
-	alive bool
+	net       *Network
+	id        env.NodeID
+	actor     env.Actor
+	r         *rng.Rand
+	alive     bool
+	delivered uint64 // messages handed to the actor (Stats.PerNode)
 }
 
 // New creates a network on the given engine. r seeds per-node random
@@ -100,7 +100,6 @@ func New(eng *sim.Engine, r *rng.Rand, cfg Config) *Network {
 		eng:   eng,
 		r:     r,
 		cfg:   cfg,
-		nodes: make(map[env.NodeID]*node),
 		names: make(map[reflect.Type]string),
 	}
 }
@@ -115,11 +114,21 @@ func (n *Network) Stats() Stats {
 	for k, v := range n.stats.PerType {
 		cp.PerType[k] = v
 	}
-	cp.PerNode = make(map[env.NodeID]uint64, len(n.stats.PerNode))
-	for k, v := range n.stats.PerNode {
-		cp.PerNode[k] = v
+	cp.PerNode = make(map[env.NodeID]uint64, len(n.nodes))
+	for _, nd := range n.nodes {
+		if nd.delivered > 0 {
+			cp.PerNode[nd.id] = nd.delivered
+		}
 	}
 	return cp
+}
+
+// node returns the node registered under id, or nil.
+func (n *Network) node(id env.NodeID) *node {
+	if id < 0 || int(id) >= len(n.nodes) {
+		return nil
+	}
+	return n.nodes[id]
 }
 
 // MaxPerNode returns the highest delivered-message count of any single
@@ -181,10 +190,9 @@ func (n *Network) FaultRuleCount() int { return len(n.faults) }
 // AddNode registers an actor, assigns it the next NodeID, and schedules
 // its Init at the current time. It returns the assigned ID.
 func (n *Network) AddNode(a env.Actor) env.NodeID {
-	id := n.next
-	n.next++
+	id := env.NodeID(len(n.nodes))
 	nd := &node{net: n, id: id, actor: a, r: n.r.Split(), alive: true}
-	n.nodes[id] = nd
+	n.nodes = append(n.nodes, nd)
 	n.eng.After(0, func() {
 		if nd.alive {
 			a.Init(nd)
@@ -195,8 +203,8 @@ func (n *Network) AddNode(a env.Actor) env.NodeID {
 
 // Alive reports whether the node exists and has not crashed or stopped.
 func (n *Network) Alive(id env.NodeID) bool {
-	nd, ok := n.nodes[id]
-	return ok && nd.alive
+	nd := n.node(id)
+	return nd != nil && nd.alive
 }
 
 // NumAlive counts live nodes.
@@ -214,7 +222,7 @@ func (n *Network) NumAlive() int {
 // suppressed, and in-flight messages to it are dropped on delivery —
 // modeling §4.1's "peers may disconnect ... due to a failure".
 func (n *Network) Crash(id env.NodeID) {
-	if nd, ok := n.nodes[id]; ok {
+	if nd := n.node(id); nd != nil {
 		nd.alive = false
 	}
 }
@@ -222,8 +230,8 @@ func (n *Network) Crash(id env.NodeID) {
 // Stop shuts a node down gracefully: the actor's Stop hook runs first
 // (letting it send departure notices), then the node goes silent.
 func (n *Network) Stop(id env.NodeID) {
-	nd, ok := n.nodes[id]
-	if !ok || !nd.alive {
+	nd := n.node(id)
+	if nd == nil || !nd.alive {
 		return
 	}
 	nd.actor.Stop()
@@ -232,7 +240,7 @@ func (n *Network) Stop(id env.NodeID) {
 
 // Actor returns the actor registered under id (for test assertions).
 func (n *Network) Actor(id env.NodeID) env.Actor {
-	if nd, ok := n.nodes[id]; ok {
+	if nd := n.node(id); nd != nil {
 		return nd.actor
 	}
 	return nil
@@ -304,16 +312,13 @@ func (n *Network) transmit(src, dst env.NodeID, m env.Message, extra sim.Time) {
 		}
 	}
 	n.eng.After(delay, func() {
-		rcv, ok := n.nodes[dst]
-		if !ok || !rcv.alive {
+		rcv := n.node(dst)
+		if rcv == nil || !rcv.alive {
 			n.stats.Dropped++
 			return
 		}
 		n.stats.Delivered++
-		if n.stats.PerNode == nil {
-			n.stats.PerNode = make(map[env.NodeID]uint64)
-		}
-		n.stats.PerNode[dst]++
+		rcv.delivered++
 		rcv.actor.Receive(src, m)
 	})
 }
