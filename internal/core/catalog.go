@@ -1,6 +1,8 @@
 package core
 
 import (
+	"slices"
+
 	"repro/internal/env"
 	"repro/internal/media"
 	"repro/internal/proto"
@@ -12,23 +14,29 @@ import (
 // propagate it — an RM folds its own record in place and refreshes its
 // advertisements; a member re-sends Join, whose refresh path on the RM
 // does the same. The scenario DSL's `catalog` verb drives these.
+//
+// The mutators are copy-on-write: a sent Join, and the RM's record of
+// this peer, share the catalog's backing arrays, so changing an element
+// in place would alter the RM's view before the change is delivered and
+// hide it from the re-join's comparison.
 
 // AddObject installs (or replaces, by name) an object in the catalog.
 func (p *Peer) AddObject(o media.Object) {
 	for i := range p.info.Objects {
 		if p.info.Objects[i].Name == o.Name {
+			p.info.Objects = slices.Clone(p.info.Objects)
 			p.info.Objects[i] = o
 			p.catalogChanged()
 			return
 		}
 	}
-	p.info.Objects = append(p.info.Objects, o)
+	p.info.Objects = append(slices.Clip(p.info.Objects), o)
 	p.catalogChanged()
 }
 
 // RemoveObject drops an object by name; unknown names are a no-op.
 func (p *Peer) RemoveObject(name string) {
-	kept := p.info.Objects[:0]
+	kept := make([]media.Object, 0, len(p.info.Objects))
 	for _, o := range p.info.Objects {
 		if o.Name != name {
 			kept = append(kept, o)
@@ -48,13 +56,13 @@ func (p *Peer) AddService(t media.Transcoder) {
 			return
 		}
 	}
-	p.info.Services = append(p.info.Services, t)
+	p.info.Services = append(slices.Clip(p.info.Services), t)
 	p.catalogChanged()
 }
 
 // RemoveService drops a transcoder by service key; unknown keys no-op.
 func (p *Peer) RemoveService(key string) {
-	kept := p.info.Services[:0]
+	kept := make([]media.Transcoder, 0, len(p.info.Services))
 	for _, s := range p.info.Services {
 		if s.Key() != key {
 			kept = append(kept, s)

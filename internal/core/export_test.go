@@ -8,6 +8,7 @@ import (
 	"repro/internal/env"
 	"repro/internal/graph"
 	"repro/internal/media"
+	"repro/internal/proto"
 )
 
 // LoadBook exposes the load-book invariant to the external tests: the
@@ -28,6 +29,28 @@ func (p *Peer) LoadBook() (booked, live map[env.NodeID]float64) {
 		}
 	}
 	return booked, live
+}
+
+// MemberInfo returns the RM's record of member id's self-description.
+func (p *Peer) MemberInfo(id env.NodeID) (proto.PeerInfo, bool) {
+	if p.rm == nil {
+		return proto.PeerInfo{}, false
+	}
+	rec, ok := p.rm.peers.get(id)
+	if !ok {
+		return proto.PeerInfo{}, false
+	}
+	return rec.info, true
+}
+
+// FreshGraphHas reports whether the RM's resource graph awaited a
+// rebuild, then brings it up to date the way an admission does and
+// reports whether format f is one of its vertices.
+func (p *Peer) FreshGraphHas(f media.Format) (wasDirty, has bool) {
+	wasDirty = p.rm.grDirty
+	p.freshGraph()
+	_, has = p.rm.gr.Lookup(f.Key())
+	return wasDirty, has
 }
 
 // CheckRMTables reports the first broken invariant of the RM's tables,

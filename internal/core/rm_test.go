@@ -292,3 +292,33 @@ func TestTakeoverForgetsOwnDomain(t *testing.T) {
 		t.Fatalf("new RM of the only domain knows %d other domains, want 0", n)
 	}
 }
+
+// A member's catalog change reaches the RM only through its re-join: the
+// RM's record must not change before the Join is delivered, and once it
+// is, the RM must rebuild its graph at the next admission rather than at
+// the 5 s latency refresh.
+func TestMemberCatalogReplaceReachesRMOnRejoin(t *testing.T) {
+	cat := cluster.StandardCatalog()
+	oldFmt, newFmt := cat.Sources[0], cat.Targets[1]
+	member := fixedInfo()
+	member.Objects = []media.Object{{Name: "obj-x", Format: oldFmt, Bytes: 1 << 20}}
+	c := cluster.New(core.DefaultConfig(), netCfg(), 5)
+	c.AddFounder(fixedInfo())
+	c.AddPeer(member, 0)
+	c.RunUntil(3 * sim.Second)
+	rm := c.Peer(0)
+	if _, has := rm.FreshGraphHas(newFmt); has {
+		t.Fatalf("format %v is a vertex before any peer holds it", newFmt)
+	}
+	c.Peer(1).AddObject(media.Object{Name: "obj-x", Format: newFmt, Bytes: 1 << 20})
+	if info, ok := rm.MemberInfo(1); !ok || len(info.Objects) != 1 || info.Objects[0].Format != oldFmt {
+		t.Fatalf("RM record before the re-join is delivered: %+v, want obj-x in %v", info.Objects, oldFmt)
+	}
+	c.RunUntil(c.Eng.Now() + 500*sim.Millisecond)
+	if info, _ := rm.MemberInfo(1); len(info.Objects) != 1 || info.Objects[0].Format != newFmt {
+		t.Fatalf("RM record after the re-join: %+v, want obj-x in %v", info.Objects, newFmt)
+	}
+	if dirty, has := rm.FreshGraphHas(newFmt); !dirty || !has {
+		t.Fatalf("after the re-join: graph dirty %v, %v a vertex %v; want both", dirty, newFmt, has)
+	}
+}
