@@ -17,6 +17,7 @@ package graph
 import (
 	"errors"
 	"fmt"
+	"strconv"
 	"strings"
 )
 
@@ -88,7 +89,7 @@ func (g *ResourceGraph) AddEdge(e Edge) EdgeID {
 	}
 	e.ID = EdgeID(len(g.edges))
 	if e.Name == "" {
-		e.Name = fmt.Sprintf("e%d", int(e.ID)+1)
+		e.Name = "e" + strconv.Itoa(int(e.ID)+1)
 	}
 	g.edges = append(g.edges, e)
 	g.out[e.From] = append(g.out[e.From], e.ID)

@@ -13,6 +13,7 @@ package media
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 )
 
@@ -56,12 +57,26 @@ type Format struct {
 
 // String renders e.g. "MPEG-2 800x600@512Kbps".
 func (f Format) String() string {
-	return fmt.Sprintf("%s %dx%d@%dKbps", f.Codec, f.Width, f.Height, f.BitrateKbps)
+	var buf [48]byte
+	return string(append(f.appendFields(buf[:0], ' ', '@'), "Kbps"...))
 }
 
-// Key returns a stable identifier usable as a map key or Bloom entry.
+// Key returns a stable identifier usable as a map key or Bloom entry,
+// e.g. "MPEG-2/800x600/512".
 func (f Format) Key() string {
-	return fmt.Sprintf("%s/%dx%d/%d", f.Codec, f.Width, f.Height, f.BitrateKbps)
+	var buf [48]byte
+	return string(f.appendKey(buf[:0]))
+}
+
+func (f Format) appendKey(b []byte) []byte { return f.appendFields(b, '/', '/') }
+
+// appendFields appends codec, sep, WIDTHxHEIGHT, rateSep, bitrate. Keys
+// and labels are built on every resource-graph rebuild, so they avoid fmt.
+func (f Format) appendFields(b []byte, sep, rateSep byte) []byte {
+	b = append(append(b, f.Codec...), sep)
+	b = append(strconv.AppendInt(b, int64(f.Width), 10), 'x')
+	b = append(strconv.AppendInt(b, int64(f.Height), 10), rateSep)
+	return strconv.AppendInt(b, int64(f.BitrateKbps), 10)
 }
 
 // Pixels returns the spatial size of a frame.
@@ -144,7 +159,10 @@ type Transcoder struct {
 }
 
 // Key returns a stable service identifier, e.g. for Bloom summaries.
-func (t Transcoder) Key() string { return t.From.Key() + "->" + t.To.Key() }
+func (t Transcoder) Key() string {
+	var buf [96]byte
+	return string(t.To.appendKey(append(t.From.appendKey(buf[:0]), "->"...)))
+}
 
 // OutputKey returns the Key of the output format of the transcoder whose
 // Key is key: the format a stage running that service emits. It returns

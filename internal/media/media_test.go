@@ -1,6 +1,8 @@
 package media
 
 import (
+	"fmt"
+	"math"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -10,6 +12,25 @@ func TestFormatString(t *testing.T) {
 	f := Format{MPEG2, 800, 600, 512}
 	if got := f.String(); got != "MPEG-2 800x600@512Kbps" {
 		t.Fatalf("String = %q", got)
+	}
+	// Key and String are hand-built; they must match the fmt forms byte
+	// for byte, since keys feed goldens, Bloom bits and DHT keys.
+	long := Codec(strings.Repeat("codec-", 20))
+	for _, f := range []Format{
+		{}, {MPEG2, 800, 600, 512}, {"", 1, 2, 3}, {H263, -176, -144, -64},
+		{RAW, 0, 0, 0}, {long, math.MaxInt64, math.MinInt64, math.MaxInt32},
+		{MPEG4, 1 << 40, 7, -(1 << 33)},
+	} {
+		if got, want := f.String(), fmt.Sprintf("%s %dx%d@%dKbps", f.Codec, f.Width, f.Height, f.BitrateKbps); got != want {
+			t.Errorf("String = %q, want %q", got, want)
+		}
+		if got, want := f.Key(), fmt.Sprintf("%s/%dx%d/%d", f.Codec, f.Width, f.Height, f.BitrateKbps); got != want {
+			t.Errorf("Key = %q, want %q", got, want)
+		}
+		tr := Transcoder{From: f, To: Format{MPEG4, 640, 480, 64}}
+		if got, want := tr.Key(), f.Key()+"->"+tr.To.Key(); got != want {
+			t.Errorf("Transcoder.Key = %q, want %q", got, want)
+		}
 	}
 }
 
