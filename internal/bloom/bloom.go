@@ -63,10 +63,10 @@ func (f *Filter) N() uint64 { return f.n }
 
 // fnv1a computes FNV-1a over data with the given offset basis, giving two
 // independent digests from two bases.
-func fnv1a(data []byte, basis uint64) uint64 {
+func fnv1a[T ~string | ~[]byte](data T, basis uint64) uint64 {
 	h := basis
-	for _, b := range data {
-		h ^= uint64(b)
+	for i := 0; i < len(data); i++ {
+		h ^= uint64(data[i])
 		h *= 1099511628211
 	}
 	return h
@@ -168,12 +168,21 @@ func (f *Filter) Bytes() []byte {
 	return out
 }
 
+var (
+	errGeometry = errors.New("bloom: geometry needs m > 0 and k > 0")
+	errLength   = errors.New("bloom: payload length does not match geometry")
+)
+
 // FromBytes reconstructs a filter with the given geometry from Bytes
-// output. It returns an error if the payload length does not match m.
+// output. It returns an error if m or k is zero or the payload length
+// does not match m.
 func FromBytes(data []byte, m uint64, k uint32) (*Filter, error) {
+	if m == 0 || k == 0 {
+		return nil, errGeometry
+	}
 	f := New(m, k)
 	if len(data) != 8*len(f.bits) {
-		return nil, errors.New("bloom: payload length does not match geometry")
+		return nil, errLength
 	}
 	for i := range f.bits {
 		var w uint64
@@ -183,4 +192,28 @@ func FromBytes(data []byte, m uint64, k uint32) (*Filter, error) {
 		f.bits[i] = w
 	}
 	return f, nil
+}
+
+// BytesContainString tests s against Bytes output with the given
+// geometry without decoding it: the result and error of
+// FromBytes(data, m, k) followed by ContainsString(s), without
+// allocating.
+func BytesContainString(data []byte, m uint64, k uint32, s string) (bool, error) {
+	if m == 0 || k == 0 {
+		return false, errGeometry
+	}
+	words := (m + 63) / 64
+	if uint64(len(data)) != 8*words {
+		return false, errLength
+	}
+	m = words * 64
+	h1 := fnv1a(s, basis1)
+	h2 := fnv1a(s, basis2) | 1
+	for i := uint32(0); i < k; i++ {
+		idx := (h1 + uint64(i)*h2) % m
+		if data[idx/8]&(1<<(idx%8)) == 0 {
+			return false, nil
+		}
+	}
+	return true, nil
 }

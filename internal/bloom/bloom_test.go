@@ -196,6 +196,69 @@ func TestFromBytesBadLength(t *testing.T) {
 	if _, err := FromBytes([]byte{1, 2, 3}, 512, 3); err == nil {
 		t.Fatal("bad payload accepted")
 	}
+	for _, g := range []struct {
+		m uint64
+		k uint32
+	}{{0, 3}, {512, 0}} {
+		if _, err := FromBytes(make([]byte, 64), g.m, g.k); err == nil {
+			t.Errorf("FromBytes(m=%d, k=%d) accepted a zero geometry", g.m, g.k)
+		}
+	}
+}
+
+// BytesContainString must answer exactly as decoding the payload and
+// testing the decoded filter does, errors included, over geometries on
+// both sides of word boundaries.
+func TestBytesContainStringMatchesFromBytes(t *testing.T) {
+	r := rng.New(7)
+	for _, m := range []uint64{1, 63, 64, 65, 1000, 4096} {
+		for k := uint32(1); k <= 8; k++ {
+			f := New(m, k)
+			var present []string
+			for i := 0; i < int(m/16)+2; i++ {
+				present = append(present, fmt.Sprintf("present-%d-%d", i, r.Intn(1000)))
+				f.AddString(present[i])
+			}
+			data := f.Bytes()
+			probe := func(s string) {
+				want := f.ContainsString(s)
+				g, err := FromBytes(data, m, k)
+				if err != nil || g.ContainsString(s) != want {
+					t.Fatalf("m=%d k=%d: FromBytes round trip disagrees with the filter (%v)", m, k, err)
+				}
+				got, err := BytesContainString(data, m, k, s)
+				if err != nil || got != want {
+					t.Fatalf("m=%d k=%d %q: BytesContainString = %v, %v; want %v", m, k, s, got, err, want)
+				}
+			}
+			for _, s := range present {
+				probe(s)
+			}
+			for i := 0; i < 200; i++ {
+				probe(fmt.Sprintf("absent-%d", r.Intn(1<<30)))
+			}
+			probe("")
+			for _, bad := range [][]byte{nil, data[:len(data)-1], append(data[:len(data):len(data)], 0)} {
+				_, want := FromBytes(bad, m, k)
+				if _, got := BytesContainString(bad, m, k, "x"); got == nil || got != want {
+					t.Fatalf("m=%d k=%d len=%d: error %v, FromBytes gives %v", m, k, len(bad), got, want)
+				}
+			}
+		}
+	}
+	for _, g := range []struct {
+		m uint64
+		k uint32
+	}{{0, 3}, {512, 0}} {
+		_, want := FromBytes(nil, g.m, g.k)
+		if _, got := BytesContainString(nil, g.m, g.k, "x"); got == nil || got != want {
+			t.Errorf("m=%d k=%d: error %v, FromBytes gives %v", g.m, g.k, got, want)
+		}
+	}
+	data := New(4096, 4).Bytes()
+	if n := testing.AllocsPerRun(100, func() { _, _ = BytesContainString(data, 4096, 4, "movie-42") }); n != 0 {
+		t.Errorf("BytesContainString allocates %.0f times per probe", n)
+	}
 }
 
 // Property: anything added is always contained (no false negatives), for
