@@ -84,7 +84,7 @@ func (p *Peer) catalogChanged() {
 			info.ID = p.ctx.Self()
 			rec.info = info
 		}
-		st.grDirty = true
+		st.catalogDirty()
 		st.bumpVersion()
 		p.disc.CatalogChanged()
 		return

@@ -3,6 +3,7 @@ package core
 import (
 	"sort"
 
+	"repro/internal/bloom"
 	"repro/internal/env"
 	"repro/internal/proto"
 )
@@ -87,8 +88,7 @@ func (g *gossipDiscovery) pickObjectDomain(object string) env.NodeID {
 		if sum == nil || len(sum.ObjectBloom) == 0 || g.staleSummary(st, rec) {
 			continue
 		}
-		f, err := bloomFrom(*sum)
-		if err != nil || !f.ContainsString(object) {
+		if ok, err := bloom.BytesContainString(sum.ObjectBloom, sum.BloomM, sum.BloomK, object); err != nil || !ok {
 			continue
 		}
 		cands = append(cands, cand{sum.RM, sum.AvgUtil})

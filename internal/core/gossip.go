@@ -20,19 +20,26 @@ import (
 // the owning peer's serialized loop, so no mutex or "guarded by mu"
 // annotation is warranted.
 
-// buildOwnSummary constructs this domain's current summary.
+// buildOwnSummary constructs this domain's current summary. The Bloom
+// filters are rebuilt only after a catalog or membership change; every
+// round recomputes the load figures and version.
 func (p *Peer) buildOwnSummary() proto.DomainSummary {
 	st := p.rm
-	objects := bloom.New(p.cfg.BloomM, p.cfg.BloomK)
-	services := bloom.New(p.cfg.BloomM, p.cfg.BloomK)
+	if st.objectBloom == nil {
+		objects := bloom.New(p.cfg.BloomM, p.cfg.BloomK)
+		services := bloom.New(p.cfg.BloomM, p.cfg.BloomK)
+		for _, rec := range st.peers {
+			for _, o := range rec.info.Objects {
+				objects.AddString(o.Name)
+			}
+			for _, s := range rec.info.Services {
+				services.AddString(s.Key())
+			}
+		}
+		st.objectBloom, st.serviceBloom = objects.Bytes(), services.Bytes()
+	}
 	var utilSum float64
 	for _, rec := range st.peers {
-		for _, o := range rec.info.Objects {
-			objects.AddString(o.Name)
-		}
-		for _, s := range rec.info.Services {
-			services.AddString(s.Key())
-		}
 		utilSum += rec.util()
 	}
 	avg := 0.0
@@ -45,21 +52,11 @@ func (p *Peer) buildOwnSummary() proto.DomainSummary {
 		Version:      st.version,
 		NumPeers:     len(st.peers),
 		AvgUtil:      avg,
-		ObjectBloom:  objects.Bytes(),
-		ServiceBloom: services.Bytes(),
+		ObjectBloom:  st.objectBloom,
+		ServiceBloom: st.serviceBloom,
 		BloomM:       p.cfg.BloomM,
 		BloomK:       p.cfg.BloomK,
 	}
-}
-
-// bloomFrom reconstructs a summary's object filter.
-func bloomFrom(sum proto.DomainSummary) (*bloom.Filter, error) {
-	return bloom.FromBytes(sum.ObjectBloom, sum.BloomM, sum.BloomK)
-}
-
-// serviceBloomFrom reconstructs a summary's service filter.
-func serviceBloomFrom(sum proto.DomainSummary) (*bloom.Filter, error) {
-	return bloom.FromBytes(sum.ServiceBloom, sum.BloomM, sum.BloomK)
 }
 
 // summarized returns the records of the domains whose summary this RM

@@ -6,7 +6,7 @@ import (
 )
 
 // sortedMapKeys returns m's keys in ascending order, for the maps that
-// are not tables: the data-plane roles, the format index and wire maps.
+// are not tables: the data-plane roles and wire maps.
 // This is the one justified raw map range in the package: every
 // iteration whose order could escape (into messages, logs, or scheduler
 // calls) goes through it, so the determinism argument lives in exactly

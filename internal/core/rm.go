@@ -28,6 +28,13 @@ import (
 // sessions and the other domains. A member's position in peers is its
 // peer index in the resource graph; every membership change dirties the
 // graph, and every use of a graph peer index follows freshGraph.
+//
+// What the RM derives from its members' catalogs is a cache with one
+// invalidation point, catalogDirty, called on every membership or
+// catalog change: G_r with the format of each vertex (rebuilt by
+// freshGraph while grDirty) and the own summary's Bloom filters (rebuilt
+// by buildOwnSummary while nil). Every summary sent shares the filter
+// bytes; nothing writes them.
 type rmState struct {
 	domain proto.DomainID
 
@@ -36,9 +43,11 @@ type rmState struct {
 	domains  table[proto.DomainID, *domainRecord] // never the RM's own
 
 	gr        *graph.ResourceGraph
-	formats   map[string]media.Format // vertex key -> format
+	formats   []media.Format // by graph.VertexID
 	grDirty   bool
-	grBuiltAt sim.Time
+	grBuiltAt sim.Time // when the edge latencies were last read from the members
+
+	objectBloom, serviceBloom []byte // own summary filters; nil when stale
 
 	backup  env.NodeID
 	version uint64
@@ -199,12 +208,11 @@ func (p *Peer) startRM(id proto.DomainID, known []proto.RMRef, snapshot []proto.
 	p.domain = id
 	p.rmID = p.ctx.Self()
 	st := &rmState{
-		domain:  id,
-		formats: make(map[string]media.Format),
-		backup:  env.NoNode,
-		hbSent:  make(map[uint64]sim.Time),
-		grDirty: true,
+		domain: id,
+		backup: env.NoNode,
+		hbSent: make(map[uint64]sim.Time),
 	}
+	st.catalogDirty()
 	p.rm = st
 	// The RM is itself a processing peer of its domain (§2).
 	self := p.info
@@ -243,6 +251,12 @@ func (p *Peer) startRM(id proto.DomainID, known []proto.RMRef, snapshot []proto.
 }
 
 func (s *rmState) bumpVersion() { s.version++ }
+
+// catalogDirty drops everything derived from the members' catalogs.
+func (s *rmState) catalogDirty() {
+	s.grDirty = true
+	s.objectBloom, s.serviceBloom = nil, nil
+}
 
 // electBackup picks the highest-scoring qualified member as backup RM
 // (§4.1: "the first peer in the list serves as backup Resource Manager").
@@ -328,7 +342,7 @@ func (p *Peer) rmHandleJoin(from env.NodeID, msg proto.Join) {
 		st.peers.put(&peerRecord{id: from, info: msg.Info, lastReport: p.ctx.Now()})
 	}
 	if changed {
-		st.grDirty = true
+		st.catalogDirty()
 		st.bumpVersion()
 		p.disc.CatalogChanged()
 	}
@@ -369,7 +383,7 @@ func (p *Peer) rmRemovePeer(id env.NodeID, reason string) {
 	if !st.peers.remove(id) {
 		return
 	}
-	st.grDirty = true
+	st.catalogDirty()
 	st.bumpVersion()
 	p.disc.CatalogChanged()
 	if st.backup == id {
@@ -515,14 +529,26 @@ func (p *Peer) rmSnapshot() proto.DomainState {
 // --- resource graph maintenance (§3.4) ---
 
 // graphRefreshPeriod bounds how stale the resource graph's measured edge
-// latencies may get before an allocation rebuilds it.
+// latencies may get before an allocation refreshes them.
 const graphRefreshPeriod = 5 * sim.Second
 
-// freshGraph rebuilds G_r when membership changed or the measured
-// latencies are stale.
+// freshGraph rebuilds G_r when membership or a catalog changed, and
+// otherwise rewrites its edge latencies in place once they are stale.
 func (p *Peer) freshGraph() {
-	if p.rm.grDirty || p.ctx.Now()-p.rm.grBuiltAt > graphRefreshPeriod {
+	st := p.rm
+	if st.grDirty {
 		p.rebuildGraph()
+		return
+	}
+	if p.ctx.Now()-st.grBuiltAt <= graphRefreshPeriod {
+		return
+	}
+	st.grBuiltAt = p.ctx.Now()
+	for v := range st.gr.NumVertices() {
+		for _, id := range st.gr.Out(graph.VertexID(v)) {
+			rec := st.peers[st.gr.Edge(id).Peer]
+			st.gr.SetLatency(id, rec.edgeLatencyMicros(p.cfg.LatencyEstimateMicros))
+		}
 	}
 }
 
@@ -532,11 +558,14 @@ func (p *Peer) rebuildGraph() {
 	st := p.rm
 	st.grBuiltAt = p.ctx.Now()
 	st.gr = graph.NewResourceGraph()
-	st.formats = make(map[string]media.Format)
+	st.formats = st.formats[:0]
 	addFormat := func(f media.Format) graph.VertexID {
-		v := st.gr.AddVertex(f.Key(), f.String())
-		st.formats[f.Key()] = f
-		return v
+		key := f.Key()
+		if v, ok := st.gr.Lookup(key); ok {
+			return v
+		}
+		st.formats = append(st.formats, f)
+		return st.gr.AddVertex(key, f.String())
 	}
 	for i, rec := range st.peers {
 		for _, obj := range rec.info.Objects {
@@ -674,18 +703,15 @@ const (
 	whyNoAlloc  = "no allocation satisfies the QoS requirements"
 )
 
-// constraintGoals lists every known format state satisfying c: the goal
-// candidates of an admission.
+// constraintGoals lists every known format state satisfying c, in
+// vertex order: the goal candidates of an admission.
 func (st *rmState) constraintGoals(c media.Constraint) []graph.VertexID {
 	var goals []graph.VertexID
-	for _, key := range sortedMapKeys(st.formats) {
-		if st.formats[key].Satisfies(c) {
-			if v, ok := st.gr.Lookup(key); ok {
-				goals = append(goals, v)
-			}
+	for v, f := range st.formats {
+		if f.Satisfies(c) {
+			goals = append(goals, graph.VertexID(v))
 		}
 	}
-	sort.Slice(goals, func(i, j int) bool { return goals[i] < goals[j] })
 	return goals
 }
 
@@ -790,8 +816,8 @@ func (st *rmState) stages(path []graph.EdgeID) []proto.StageDesc {
 			Peer:           st.peers[e.Peer].id,
 			Service:        e.Service,
 			Work:           e.Work,
-			InBitrateKbps:  st.formats[st.gr.Vertex(e.From).Key].BitrateKbps,
-			OutBitrateKbps: st.formats[st.gr.Vertex(e.To).Key].BitrateKbps,
+			InBitrateKbps:  st.formats[e.From].BitrateKbps,
+			OutBitrateKbps: st.formats[e.To].BitrateKbps,
 		})
 	}
 	return out

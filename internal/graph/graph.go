@@ -144,6 +144,10 @@ func (g *ResourceGraph) NumEdges() int {
 // Vertex returns vertex id.
 func (g *ResourceGraph) Vertex(id VertexID) Vertex { return g.vertices[id] }
 
+// SetLatency sets edge id's one-way communication latency: the measured
+// estimate changes while the graph's topology stays.
+func (g *ResourceGraph) SetLatency(id EdgeID, micros int64) { g.edges[id].LatencyMicros = micros }
+
 // Edge returns edge id. Callers must not mutate shared state through it.
 func (g *ResourceGraph) Edge(id EdgeID) Edge { return g.edges[id] }
 
