@@ -17,6 +17,7 @@ type refEngine struct {
 	queue  refQueue
 	fired  uint64
 	halted bool
+	target func(Event)
 }
 
 type refEvent struct {
@@ -87,6 +88,14 @@ func (e *refEngine) schedule(at Time, fn func()) func() bool {
 	}
 }
 
+// scheduleTyped queues a typed event as the callback that hands it to
+// the target, which is what the engine's typed path must amount to.
+func (e *refEngine) scheduleTyped(at Time, ev Event) func() bool {
+	return e.schedule(at, func() { e.target(ev) })
+}
+
+func (e *refEngine) setTarget(fn func(Event)) { e.target = fn }
+
 func (e *refEngine) Step() bool {
 	for len(e.queue) > 0 {
 		ev := heap.Pop(&e.queue).(*refEvent)
@@ -132,6 +141,8 @@ type scriptEngine interface {
 	RunUntil(Time)
 	Run()
 	schedule(at Time, fn func()) func() bool
+	scheduleTyped(at Time, ev Event) func() bool
+	setTarget(fn func(Event))
 	live() int
 }
 
@@ -148,7 +159,17 @@ type engineUnderTest struct {
 func (e *engineUnderTest) live() int { return e.Pending() }
 
 func (e *engineUnderTest) schedule(at Time, fn func()) func() bool {
-	h := e.At(at, fn)
+	return e.cancelFunc(e.At(at, fn))
+}
+
+func (e *engineUnderTest) scheduleTyped(at Time, ev Event) func() bool {
+	return e.cancelFunc(e.Schedule(at, ev))
+}
+
+func (e *engineUnderTest) setTarget(fn func(Event)) { e.SetTarget(fn) }
+
+// cancelFunc cancels h, counting the compactions the cancel triggers.
+func (e *engineUnderTest) cancelFunc(h Handle) func() bool {
 	return func() bool {
 		before := len(e.queue)
 		ok := h.Cancel()
@@ -162,14 +183,24 @@ func (e *engineUnderTest) schedule(at Time, fn func()) func() bool {
 	}
 }
 
-// check verifies the heap order over (at, seq) and that cancelled
-// equals the number of queued entries whose event was cancelled.
+// check verifies the heap order over (at, seq), that cancelled equals
+// the number of queued entries whose slot is no longer live, and the
+// slab: each queued entry owns one slot, every other slot is free and
+// zeroed, the free bitmap marks exactly those below the slab's length,
+// and the slab ends in an owned slot.
 func (e *engineUnderTest) check() {
 	e.t.Helper()
 	dead := 0
+	owned := make([]bool, len(e.slots))
 	for i, x := range e.queue {
-		if x.ev.fn == nil {
+		if x.slot() >= len(e.slots) || owned[x.slot()] {
+			e.t.Fatalf("entry %d: slot %d out of range or shared", i, x.slot())
+		}
+		owned[x.slot()] = true
+		if s := e.slots[x.slot()]; !s.live {
 			dead++
+		} else if s.gen != uint32(x.key>>slotBits) {
+			e.t.Fatalf("entry %d: slot generation %d, seq %d", i, s.gen, x.key>>slotBits)
 		}
 		if i > 0 && x.less(e.queue[(i-1)/4]) {
 			e.t.Fatalf("heap order broken at slot %d", i)
@@ -177,6 +208,27 @@ func (e *engineUnderTest) check() {
 	}
 	if dead != e.cancelled {
 		e.t.Fatalf("cancelled = %d, %d dead entries queued", e.cancelled, dead)
+	}
+	if len(e.free) != (len(e.slots)+63)/64 {
+		e.t.Fatalf("%d bitmap words for %d slots", len(e.free), len(e.slots))
+	}
+	for i := range len(e.free) * 64 {
+		free := e.free[i/64]&(1<<(i%64)) != 0
+		switch {
+		case i >= len(e.slots):
+			if free {
+				e.t.Fatalf("bit %d set past the slab's end %d", i, len(e.slots))
+			}
+		case free == owned[i]:
+			e.t.Fatalf("slot %d: free bit %v, owned %v", i, free, owned[i])
+		case free && e.slots[i] != (slot{}):
+			e.t.Fatalf("free slot %d not zeroed: %+v", i, e.slots[i])
+		case free && i/64 < e.freeLo:
+			e.t.Fatalf("free slot %d below the hint word %d", i, e.freeLo)
+		}
+	}
+	if n := len(e.slots); n > 0 && !owned[n-1] {
+		e.t.Fatalf("slab ends in free slot %d", n-1)
 	}
 }
 
@@ -212,10 +264,39 @@ func (s *script) logf(format string, args ...any) {
 	s.log = append(s.log, fmt.Sprintf(format, args...))
 }
 
+// schedule queues event id at at: a func() callback, or one time in
+// three a typed event whose payload the target logs before firing it.
 func (s *script) schedule(at Time) {
 	id := len(s.cancels)
 	s.times = append(s.times, at)
-	s.cancels = append(s.cancels, s.eng.schedule(at, func() { s.fire(id) }))
+	var cancel func() bool
+	switch k := s.r.Intn(6); k {
+	case 0, 1, 2, 3:
+		cancel = s.eng.schedule(at, func() { s.fire(id) })
+	default:
+		ev := Event{A: int32(id), B: int32(s.r.Intn(1000)) - 500, Kind: uint8(1 + s.r.Intn(3))}
+		switch ev.Kind {
+		case 1:
+			ev.X = &s.times[id] // a pointer payload
+		case 2:
+			ev.X = fmt.Sprint("msg", id)
+		}
+		cancel = s.eng.scheduleTyped(at, ev)
+	}
+	s.cancels = append(s.cancels, cancel)
+}
+
+// dispatch is the typed events' target.
+func (s *script) dispatch(ev Event) {
+	payload := "nil"
+	switch x := ev.X.(type) {
+	case *Time:
+		payload = fmt.Sprint("at ", *x)
+	case string:
+		payload = x
+	}
+	s.logf("typed kind %d b %d payload %s", ev.Kind, ev.B, payload)
+	s.fire(int(ev.A))
 }
 
 func (s *script) cancel(id int) {
@@ -291,8 +372,10 @@ func (s *script) advance() {
 }
 
 // TestEngineMatchesReference drives the engine and the container/heap
-// reference with the same rng-seeded scripts and requires the same fired
-// sequence, clock, Fired count, Cancel results and live count throughout.
+// reference with the same rng-seeded scripts, mixing func() callbacks
+// with typed events (which the reference runs as callbacks into the
+// target), and requires the same fired sequence and payloads, clock,
+// Fired count, Cancel results and live count throughout.
 func TestEngineMatchesReference(t *testing.T) {
 	compactions, emptied := 0, 0
 	for _, shape := range scriptShapes {
@@ -300,6 +383,8 @@ func TestEngineMatchesReference(t *testing.T) {
 			ref := &script{shape: shape, r: rng.New(seed), eng: &refEngine{}, check: func() {}}
 			eut := &engineUnderTest{Engine: New(), t: t}
 			got := &script{shape: shape, r: rng.New(seed), eng: eut, check: eut.check}
+			ref.eng.setTarget(ref.dispatch)
+			got.eng.setTarget(got.dispatch)
 			ref.schedule(0) // every script starts with an event to run
 			got.schedule(0)
 			ref.run()

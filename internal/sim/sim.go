@@ -4,9 +4,17 @@
 // pending events. Events scheduled for the same instant fire in the order
 // they were scheduled (ties broken by a monotone sequence number), which
 // makes runs bit-reproducible given the same seed and schedule.
+//
+// An event is either a func() callback (At, After) or a typed Event
+// (Schedule) that the engine hands to its one Target when it fires. Both
+// live in a slab of fixed-size slots and the heap holds pointer-free
+// (time, seq|slot) keys, so scheduling and firing allocate nothing.
 package sim
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // Time is a virtual timestamp in microseconds since the start of the run.
 type Time int64
@@ -41,32 +49,77 @@ func (t Time) String() string {
 // nearest microsecond.
 func FromSeconds(s float64) Time { return Time(s*float64(Second) + 0.5) }
 
-// event is one scheduled callback, nil once it has fired or been cancelled.
-type event struct{ fn func() }
-
-// entry is one heap slot. Its (at, seq) key is inline, so comparisons never
-// touch the event; keys are unique, so the firing order is layout-free.
-type entry struct {
-	at  Time
-	seq uint64
-	ev  *event
+// Event is a typed event: the payload of one Schedule call, handed back
+// to the engine's target when it fires. Kind 0 is reserved for the func()
+// callbacks of At and After.
+type Event struct {
+	X    any
+	A, B int32
+	Kind uint8
 }
 
-func (a entry) less(b entry) bool { return a.at < b.at || (a.at == b.at && a.seq < b.seq) }
+// slot holds one queued event. For kind 0, x is the func() callback.
+type slot struct {
+	x    any
+	a, b int32
+	gen  uint32 // low 32 bits of the seq the event was scheduled under
+	kind uint8
+	live bool // neither fired nor cancelled
+}
+
+// A heap entry's key is seq<<slotBits | slot index: unique, so it orders
+// ties by scheduling order, and the slot needs no lookup to compare.
+const (
+	slotBits = 24
+	slotMask = 1<<slotBits - 1
+	maxSeq   = 1 << (64 - slotBits)
+	// minShrinkCap is the capacity below which the slab and the heap are
+	// never re-allocated smaller.
+	minShrinkCap = 256
+)
+
+// entry is one heap element. It holds no pointer, so the collector never
+// scans the queue, and four children fill one cache line.
+type entry struct {
+	at  Time
+	key uint64
+}
+
+func (a entry) less(b entry) bool { return a.at < b.at || (a.at == b.at && a.key < b.key) }
+
+func (a entry) slot() int { return int(a.key & slotMask) }
 
 // Engine runs events in virtual-time order. It is not safe for concurrent
 // use; all simulated components run on the engine's single logical thread.
 type Engine struct {
 	now       Time
 	seq       uint64
-	queue     []entry // 4-ary min-heap ordered by (at, seq)
-	cancelled int     // entries in queue whose event was cancelled
+	queue     []entry  // 4-ary min-heap ordered by (at, seq)
+	slots     []slot   // every queued event, pending or cancelled
+	free      []uint64 // bit i set: slots[i] is free
+	freeLo    int      // no word of free below this index has a bit set
+	cancelled int      // entries in queue whose event was cancelled
 	fired     uint64
 	halted    bool
+	target    func(Event)
+	cancelID  func(id uint64) bool // e.cancel, bound once for every Handle's Canceller
 }
 
 // New returns an engine with the clock at zero.
-func New() *Engine { return &Engine{} }
+func New() *Engine {
+	e := &Engine{}
+	e.cancelID = e.cancel
+	return e
+}
+
+// SetTarget registers fn as the receiver of every typed event. An engine
+// has one target; registering a second panics.
+func (e *Engine) SetTarget(fn func(Event)) {
+	if e.target != nil {
+		panic("sim: engine already has a typed-event target")
+	}
+	e.target = fn
+}
 
 // Now returns the current virtual time.
 func (e *Engine) Now() Time { return e.now }
@@ -77,23 +130,42 @@ func (e *Engine) Fired() uint64 { return e.fired }
 // Pending reports how many events are queued, not counting cancelled ones.
 func (e *Engine) Pending() int { return len(e.queue) - e.cancelled }
 
-// Handle identifies a scheduled event and allows cancellation.
+// Handle identifies a scheduled event and allows cancellation. It names
+// the event's slot and the generation the slot had when the event was
+// scheduled, so a stale handle never reaches the slot's next occupant.
 type Handle struct {
 	e  *Engine
-	ev *event
+	id uint64 // gen<<32 | slot
 }
 
 // Cancel prevents the event from firing. Cancelling an already-fired or
 // already-cancelled event is a no-op. It reports whether the event was
 // still pending.
-func (h Handle) Cancel() bool {
-	if h.ev == nil || h.ev.fn == nil {
+func (h Handle) Cancel() bool { return h.e != nil && h.e.cancel(h.id) }
+
+// Canceller returns a func and an id such that fn(id) is h.Cancel(). The
+// func is shared by every handle of the engine, so storing the pair
+// allocates nothing. A zero Handle returns a nil func.
+func (h Handle) Canceller() (fn func(id uint64) bool, id uint64) {
+	if h.e == nil {
+		return nil, 0
+	}
+	return h.e.cancelID, h.id
+}
+
+func (e *Engine) cancel(id uint64) bool {
+	i := int(uint32(id))
+	if i >= len(e.slots) {
 		return false
 	}
-	h.ev.fn = nil
-	h.e.cancelled++
-	if h.e.cancelled > 64 && h.e.cancelled > len(h.e.queue)/2 {
-		h.e.compact()
+	s := &e.slots[i]
+	if !s.live || s.gen != uint32(id>>32) {
+		return false
+	}
+	s.live, s.x = false, nil
+	e.cancelled++
+	if e.cancelled > 64 && e.cancelled > len(e.queue)/2 {
+		e.compact()
 	}
 	return true
 }
@@ -101,16 +173,10 @@ func (h Handle) Cancel() bool {
 // At schedules fn to run at absolute time at. Scheduling in the past
 // panics: it would silently reorder causality.
 func (e *Engine) At(at Time, fn func()) Handle {
-	if at < e.now {
-		panic(fmt.Sprintf("sim: scheduling at %v before now %v", at, e.now))
-	}
 	if fn == nil {
 		panic("sim: scheduling a nil callback")
 	}
-	ev := &event{fn}
-	e.push(entry{at, e.seq, ev})
-	e.seq++
-	return Handle{e, ev}
+	return e.push(at, slot{x: fn})
 }
 
 // After schedules fn to run delay from now.
@@ -119,6 +185,15 @@ func (e *Engine) After(delay Time, fn func()) Handle {
 		panic(fmt.Sprintf("sim: negative delay %v", delay))
 	}
 	return e.At(e.now+delay, fn)
+}
+
+// Schedule queues the typed event ev at absolute time at; it fires by a
+// call to the target. ev.Kind must not be 0, and a target must be set.
+func (e *Engine) Schedule(at Time, ev Event) Handle {
+	if ev.Kind == 0 || e.target == nil {
+		panic("sim: typed event of kind 0 or without a target")
+	}
+	return e.push(at, slot{x: ev.X, a: ev.A, b: ev.B, kind: ev.Kind})
 }
 
 // Halt stops the current Run/RunUntil after the in-flight event returns.
@@ -148,40 +223,109 @@ func (e *Engine) Run() {
 
 // step fires the next live event due by deadline, dropping dead heads first.
 func (e *Engine) step(deadline Time) bool {
-	for len(e.queue) > 0 && e.queue[0].ev.fn == nil {
-		e.pop()
+	for len(e.queue) > 0 && !e.slots[e.queue[0].slot()].live {
+		e.release(e.pop().slot())
 		e.cancelled--
 	}
 	if len(e.queue) == 0 || e.queue[0].at > deadline {
 		return false
 	}
 	x := e.pop()
-	fn := x.ev.fn
-	x.ev.fn = nil
+	s := e.slots[x.slot()]
+	e.release(x.slot())
 	e.now, e.fired = x.at, e.fired+1
-	fn()
+	if s.kind == 0 {
+		s.x.(func())()
+	} else {
+		e.target(Event{X: s.x, A: s.a, B: s.b, Kind: s.kind})
+	}
 	return true
 }
 
-// push adds x. Its seq is the newest, so only a strictly earlier time lifts it.
-func (e *Engine) push(x entry) {
-	i := len(e.queue)
-	e.queue = append(e.queue, x)
-	for ; i > 0 && x.at < e.queue[(i-1)/4].at; i = (i - 1) / 4 {
-		e.queue[i] = e.queue[(i-1)/4]
+// push queues s at time at under the next seq.
+func (e *Engine) push(at Time, s slot) Handle {
+	if at < e.now {
+		panic(fmt.Sprintf("sim: scheduling at %v before now %v", at, e.now))
 	}
-	e.queue[i] = x
+	if e.seq == maxSeq {
+		panic("sim: sequence space exhausted")
+	}
+	i := e.alloc()
+	s.gen, s.live = uint32(e.seq), true
+	e.slots[i] = s
+	x := entry{at, e.seq<<slotBits | uint64(i)}
+	e.seq++
+	// Its seq is the newest, so only a strictly earlier time lifts it.
+	j := len(e.queue)
+	e.queue = append(e.queue, x)
+	for ; j > 0 && x.at < e.queue[(j-1)/4].at; j = (j - 1) / 4 {
+		e.queue[j] = e.queue[(j-1)/4]
+	}
+	e.queue[j] = x
+	return Handle{e, uint64(s.gen)<<32 | uint64(i)}
+}
+
+// alloc returns the lowest free slot, growing the slab if none is free.
+// Lowest-first keeps the occupied slots packed at the front, so release
+// can truncate the free tail.
+func (e *Engine) alloc() int {
+	for w := e.freeLo; w < len(e.free); w++ {
+		if b := e.free[w]; b != 0 {
+			e.freeLo = w
+			e.free[w] = b & (b - 1)
+			return w<<6 | bits.TrailingZeros64(b)
+		}
+	}
+	i := len(e.slots)
+	if i > slotMask {
+		panic("sim: too many queued events")
+	}
+	e.slots = append(e.slots, slot{})
+	if i>>6 == len(e.free) {
+		e.free = append(e.free, 0)
+	}
+	e.freeLo = len(e.free) - 1
+	return i
+}
+
+// release frees slot i. A free tail is cut off the slab.
+func (e *Engine) release(i int) {
+	e.slots[i] = slot{}
+	n := len(e.slots) - 1
+	if i != n {
+		e.free[i>>6] |= 1 << (i & 63)
+		e.freeLo = min(e.freeLo, i>>6)
+		return
+	}
+	for n > 0 && e.free[(n-1)>>6]&(1<<((n-1)&63)) != 0 {
+		n--
+		e.free[n>>6] &^= 1 << (n & 63)
+	}
+	e.free = e.free[:(n+63)>>6]
+	e.freeLo = min(e.freeLo, len(e.free))
+	e.slots = shrunk(e.slots[:n], 2)
+}
+
+// shrunk re-allocates s at 1.25x its length once the length falls below
+// 1/div of its capacity, so a burst of queued events does not pin its
+// peak memory for the rest of the run.
+func shrunk[T any](s []T, div int) []T {
+	if c := cap(s); c > minShrinkCap && len(s) < c/div {
+		return append(make([]T, 0, len(s)+len(s)/4), s...)
+	}
+	return s
 }
 
 // pop removes and returns the heap's minimum entry.
 func (e *Engine) pop() entry {
 	top, n := e.queue[0], len(e.queue)-1
 	last := e.queue[n]
-	e.queue[n] = entry{} // release the event for the collector
 	e.queue = e.queue[:n]
 	if n > 0 {
 		e.down(0, last)
 	}
+	// Compaction routinely halves the queue, so it waits for a quarter.
+	e.queue = shrunk(e.queue, 4)
 	return top
 }
 
@@ -203,16 +347,18 @@ func (e *Engine) down(i int, x entry) {
 	q[i] = x
 }
 
-// compact drops the cancelled entries and re-heapifies in O(n). Cancel runs
-// it once they outnumber live ones, so it costs O(1) amortised per cancel.
+// compact drops the cancelled entries, frees their slots and re-heapifies
+// in O(n). Cancel runs it once they outnumber live ones, so it costs O(1)
+// amortised per cancel.
 func (e *Engine) compact() {
 	q := e.queue[:0]
 	for _, x := range e.queue {
-		if x.ev.fn != nil {
+		if e.slots[x.slot()].live {
 			q = append(q, x)
+		} else {
+			e.release(x.slot())
 		}
 	}
-	clear(e.queue[len(q):])
 	e.queue, e.cancelled = q, 0
 	for i := (len(q) - 2) / 4; len(q) > 1 && i >= 0; i-- {
 		e.down(i, q[i])

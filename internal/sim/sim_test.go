@@ -216,6 +216,101 @@ func TestCancelEveryPendingEvent(t *testing.T) {
 	}
 }
 
+// A handle whose event has fired or been cancelled cancels nothing, and
+// in particular not the event that reuses its slot: after plain reuse,
+// and after the slab has truncated, shrunk and regrown over the slot.
+func TestStaleHandleSparesNewOccupant(t *testing.T) {
+	e := New()
+	fired := 0
+	count := func() { fired++ }
+
+	done := e.At(10, count)
+	e.Run()
+	cancelled := e.At(20, count)
+	if !cancelled.Cancel() {
+		t.Fatal("Cancel on a pending event returned false")
+	}
+	e.Run() // pops the dead entry, freeing its slot
+	next := e.At(30, count)
+	if done.id&slotMask != next.id&slotMask || cancelled.id&slotMask != next.id&slotMask {
+		t.Fatalf("slots %d, %d, %d: the test no longer reuses one slot",
+			done.id&slotMask, cancelled.id&slotMask, next.id&slotMask)
+	}
+	if done.Cancel() || cancelled.Cancel() {
+		t.Fatal("a stale handle cancelled its slot's new occupant")
+	}
+	e.Run()
+	if fired != 2 {
+		t.Fatalf("fired %d events, want 2", fired)
+	}
+
+	const n = 4 * minShrinkCap
+	old := make([]Handle, n)
+	for i := range old {
+		old[i] = e.After(Time(i), count)
+	}
+	grown := cap(e.slots)
+	for i := n - 1; i >= 0; i-- { // newest first, so the tail is cut each time
+		old[i].Cancel()
+	}
+	e.Run()
+	if len(e.slots) != 0 || cap(e.slots) >= grown {
+		t.Fatalf("slab len %d cap %d after draining from cap %d: no shrink", len(e.slots), cap(e.slots), grown)
+	}
+	fired = 0
+	for i := range n {
+		e.After(Time(i), count)
+	}
+	for i, h := range old {
+		if h.Cancel() {
+			t.Fatalf("handle %d cancelled the event in its regrown slot", i)
+		}
+	}
+	e.Run()
+	if fired != n {
+		t.Fatalf("fired %d of %d events in the regrown slab", fired, n)
+	}
+	if (Handle{}).Cancel() {
+		t.Fatal("the zero Handle cancelled something")
+	}
+}
+
+// Scheduling and firing an event allocates nothing once the slab and
+// heap have grown: a typed event with a pointer payload, and a callback
+// bound beforehand.
+func TestScheduleAndFireAllocateNothing(t *testing.T) {
+	e := New()
+	var got *int
+	e.SetTarget(func(ev Event) { got = ev.X.(*int) })
+	msg := new(int)
+	fn := func() {}
+	for range 64 {
+		e.Schedule(e.Now()+1, Event{X: msg, A: 1, Kind: 1})
+		e.After(1, fn)
+	}
+	e.Run()
+	typed := testing.AllocsPerRun(1000, func() {
+		e.Schedule(e.Now()+1, Event{X: msg, A: 1, B: 2, Kind: 1})
+		e.Step()
+	})
+	callback := testing.AllocsPerRun(1000, func() {
+		e.After(1, fn)
+		e.Step()
+	})
+	if typed != 0 || callback != 0 || got != msg {
+		t.Fatalf("allocs per typed event %v, per callback %v; payload %p, want %p", typed, callback, got, msg)
+	}
+}
+
+func TestScheduleWithoutTargetPanics(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a typed event without a target did not panic")
+		}
+	}()
+	New().Schedule(0, Event{Kind: 1})
+}
+
 func TestStepReturnsFalseWhenEmpty(t *testing.T) {
 	e := New()
 	if e.Step() {
@@ -262,14 +357,21 @@ func BenchmarkScheduleAndRun(b *testing.B) {
 // BenchmarkEngineTimers models the DHT's RPC timers: every request arms a
 // 2 s timeout, and four replies in five cancel it 1–50 ms later. A request
 // leaves every 250 µs of virtual time, so about 8k timeouts are armed at
-// once. One op is one request and the virtual time up to the next.
+// once. A reply is a typed event naming its request, as a netsim delivery
+// is. One op is one request and the virtual time up to the next.
 func BenchmarkEngineTimers(b *testing.B) {
 	e := New()
 	r := rng.New(1)
+	var timeouts [256]Handle // by request number; 50 ms holds 200 requests
+	e.SetTarget(func(ev Event) { timeouts[ev.A].Cancel() })
+	expire := func() {}
+	next := 0
 	request := func() {
-		timeout := e.After(2*Second, func() {})
+		slot := next % len(timeouts)
+		next++
+		timeouts[slot] = e.After(2*Second, expire)
 		if r.Intn(5) != 0 {
-			e.After(Time(1+r.Intn(50))*Millisecond, func() { timeout.Cancel() })
+			e.Schedule(e.Now()+Time(1+r.Intn(50))*Millisecond, Event{A: int32(slot), Kind: 1})
 		}
 		e.RunUntil(e.Now() + 250*Microsecond)
 	}
