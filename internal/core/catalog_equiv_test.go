@@ -156,7 +156,7 @@ type scriptCtx struct {
 }
 
 func (c *scriptCtx) Now() sim.Time                     { return c.now }
-func (c *scriptCtx) After(sim.Time, func()) env.Cancel { return func() bool { return false } }
+func (c *scriptCtx) After(sim.Time, func()) env.Cancel { return env.Cancel{} }
 func (c *scriptCtx) Self() env.NodeID                  { return 0 }
 func (c *scriptCtx) Send(env.NodeID, env.Message)      {}
 func (c *scriptCtx) Rand() *rng.Rand                   { return c.r }

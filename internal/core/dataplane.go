@@ -97,7 +97,7 @@ func (p *Peer) handleCompose(from env.NodeID, msg proto.GraphCompose) {
 		// Our own submission was admitted: the outcome watchdog can stand
 		// down — a report is now guaranteed (finalize or abort paths).
 		if cancel, ok := p.submitTimers[d.TaskID]; ok {
-			cancel()
+			cancel.Cancel()
 			delete(p.submitTimers, d.TaskID)
 		}
 		s, ok := p.asSink[d.TaskID]
@@ -214,10 +214,8 @@ func (p *Peer) emitChunk(s *sourceSession) {
 
 // stopSource halts emission and releases source-side resources.
 func (p *Peer) stopSource(s *sourceSession) {
-	if s.cancel != nil {
-		s.cancel()
-		s.cancel = nil
-	}
+	s.cancel.Cancel()
+	s.cancel = env.Cancel{}
 	if s.emitting {
 		p.prof.AddBandwidth(-float64(s.desc.SourceBitrateKbps))
 		s.emitting = false
@@ -228,9 +226,7 @@ func (p *Peer) stopSource(s *sourceSession) {
 // releaseStage drops a stage instance's load and connections and aborts
 // its queued chunk work.
 func (p *Peer) releaseStage(st *stageSession) {
-	if st.watchdog != nil {
-		st.watchdog()
-	}
+	st.watchdog.Cancel()
 	p.prof.AddLoad(-st.desc.Stages[st.role].Work)
 	p.prof.AddBandwidth(-float64(st.desc.Stages[st.role].OutBitrateKbps))
 	p.conn.Close(p.nextHop(st.desc, st.role))
@@ -352,9 +348,7 @@ func (p *Peer) finalizeSink(taskID string) {
 		return
 	}
 	s.finalized = true
-	if s.watchdog != nil {
-		s.watchdog()
-	}
+	s.watchdog.Cancel()
 	delete(p.asSink, taskID)
 	recv := 0
 	for _, r := range s.received {
@@ -429,9 +423,7 @@ func (p *Peer) handleSessionAbort(msg proto.SessionAbort) {
 		} else {
 			// Never streamed (cancelled during composition): discard.
 			s.finalized = true
-			if s.watchdog != nil {
-				s.watchdog()
-			}
+			s.watchdog.Cancel()
 			delete(p.asSink, msg.TaskID)
 		}
 	}

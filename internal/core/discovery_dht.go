@@ -53,7 +53,7 @@ func (d *dhtDiscovery) Init() {
 
 func (d *dhtDiscovery) Stop() {
 	for _, c := range d.cancels {
-		c()
+		c.Cancel()
 	}
 	d.cancels = nil
 	d.node.Stop()

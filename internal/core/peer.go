@@ -178,11 +178,9 @@ func (p *Peer) Stop() {
 		p.ctx.Send(p.rmID, proto.Leave{})
 	}
 	for _, c := range p.cancels {
-		c()
+		c.Cancel()
 	}
-	if p.bgTicker != nil {
-		p.bgTicker()
-	}
+	p.bgTicker.Cancel()
 	if p.rm != nil {
 		p.rm.stopTimers()
 	}
@@ -376,7 +374,7 @@ func (p *Peer) handleTakeoverAnnounce(from env.NodeID, msg proto.TakeoverAnnounc
 func (p *Peer) resolveSubmit(taskID string) {
 	delete(p.submits, taskID)
 	if cancel, ok := p.submitTimers[taskID]; ok {
-		cancel()
+		cancel.Cancel()
 		delete(p.submitTimers, taskID)
 	}
 }
@@ -420,10 +418,8 @@ func (p *Peer) SetBackgroundLoad(rate float64) {
 	}
 	p.prof.AddLoad(rate - p.bgRate)
 	p.bgRate = rate
-	if p.bgTicker != nil {
-		p.bgTicker()
-		p.bgTicker = nil
-	}
+	p.bgTicker.Cancel()
+	p.bgTicker = env.Cancel{}
 	if rate <= 0 {
 		return
 	}

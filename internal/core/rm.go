@@ -141,7 +141,7 @@ func (s *rmState) rmRefs(self env.NodeID) []proto.RMRef {
 
 func (s *rmState) stopTimers() {
 	for _, c := range s.timers {
-		c()
+		c.Cancel()
 	}
 	s.timers = nil
 }
@@ -911,9 +911,7 @@ func (p *Peer) applyLoads(stages []proto.StageDesc, sign float64) {
 // release retires a session at the RM: its compose timer, its booked load
 // and its table entry. Session end and every abort come through here.
 func (p *Peer) release(sess *rmSession) {
-	if sess.composeTimer != nil {
-		sess.composeTimer()
-	}
+	sess.composeTimer.Cancel()
 	p.applyLoads(sess.desc.Stages, -1)
 	p.rm.sessions.remove(sess.desc.TaskID)
 }
@@ -1037,10 +1035,8 @@ func (p *Peer) rmHandleComposeAck(from env.NodeID, msg proto.ComposeAck) {
 	if len(sess.pendingAcks) > 0 {
 		return
 	}
-	if sess.composeTimer != nil {
-		sess.composeTimer()
-		sess.composeTimer = nil
-	}
+	sess.composeTimer.Cancel()
+	sess.composeTimer = env.Cancel{}
 	sess.state = sessRunning
 	tr := p.events.Tracer()
 	if tr != nil {

@@ -166,11 +166,11 @@ func (n *Node) StartPublisher() {
 func (n *Node) Stop() {
 	n.stopped = true
 	for _, c := range n.cancels {
-		c()
+		c.Cancel()
 	}
 	n.cancels = nil
 	for _, rpc := range sortedRPCs(n.calls) {
-		n.calls[rpc].timeout()
+		n.calls[rpc].timeout.Cancel()
 	}
 	n.calls = make(map[uint64]*pendingCall)
 }
@@ -342,7 +342,7 @@ func (n *Node) resolve(rpc uint64, ids []env.NodeID, values []proto.DHTProvider)
 		return
 	}
 	delete(n.calls, rpc)
-	pc.timeout()
+	pc.timeout.Cancel()
 	pc.done(ids, values, true)
 }
 

@@ -38,9 +38,23 @@ type Sized interface {
 	SizeKB() float64
 }
 
-// Cancel stops a pending timer. It reports whether the timer was still
-// pending. Calling it multiple times is safe.
-type Cancel func() bool
+// Cancel is the handle of a pending timer. Its zero value is no timer.
+// It is a value: fn is shared (under simulation, by every timer of an
+// engine) and id names the timer, so arming one need not allocate.
+type Cancel struct {
+	fn func(id uint64) bool
+	id uint64
+}
+
+// NewCancel returns the Cancel whose Cancel method calls fn(id).
+func NewCancel(fn func(id uint64) bool, id uint64) Cancel { return Cancel{fn, id} }
+
+// SimCancel returns the Cancel of an engine event.
+func SimCancel(h sim.Handle) Cancel { return NewCancel(h.Canceller()) }
+
+// Cancel stops the timer. It reports whether the timer was still
+// pending. Calling it multiple times, or on the zero Cancel, is safe.
+func (c Cancel) Cancel() bool { return c.fn != nil && c.fn(c.id) }
 
 // Clock provides time and timers to protocol logic and to the scheduler.
 // Under simulation, Now is virtual time; under the live runtime it is
@@ -98,16 +112,14 @@ func Every(c Clock, delay, period sim.Time, fn func()) Cancel {
 		}
 	}
 	pending = c.After(delay, tick)
-	return func() bool {
+	return NewCancel(func(uint64) bool {
 		if stopped {
 			return false
 		}
 		stopped = true
-		if pending != nil {
-			pending()
-		}
+		pending.Cancel()
 		return true
-	}
+	}, 0)
 }
 
 // SimClock adapts a bare *sim.Engine to Clock for components that run
@@ -119,6 +131,5 @@ func (c SimClock) Now() sim.Time { return c.Eng.Now() }
 
 // After implements Clock.
 func (c SimClock) After(d sim.Time, fn func()) Cancel {
-	h := c.Eng.After(d, fn)
-	return h.Cancel
+	return SimCancel(c.Eng.After(d, fn))
 }

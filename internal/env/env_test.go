@@ -18,7 +18,7 @@ func TestSimClock(t *testing.T) {
 	if !fired {
 		t.Fatal("timer did not fire")
 	}
-	if cancel() {
+	if cancel.Cancel() {
 		t.Fatal("cancel after fire returned true")
 	}
 }
@@ -28,12 +28,34 @@ func TestSimClockCancel(t *testing.T) {
 	clk := SimClock{Eng: eng}
 	fired := false
 	cancel := clk.After(10, func() { fired = true })
-	if !cancel() {
+	if !cancel.Cancel() {
 		t.Fatal("cancel returned false on pending timer")
 	}
 	eng.Run()
 	if fired {
 		t.Fatal("cancelled timer fired")
+	}
+}
+
+func TestZeroCancelIsNoTimer(t *testing.T) {
+	var c Cancel
+	if c.Cancel() || SimCancel(sim.Handle{}).Cancel() {
+		t.Fatal("the zero Cancel reported a pending timer")
+	}
+}
+
+// Arming and cancelling a SimClock timer with a callback bound
+// beforehand allocates nothing: the Cancel is a value.
+func TestSimClockTimerAllocatesNothing(t *testing.T) {
+	eng := sim.New()
+	clk := SimClock{Eng: eng}
+	fn := func() {}
+	for range 64 {
+		clk.After(1, fn)
+	}
+	eng.Run()
+	if n := testing.AllocsPerRun(1000, func() { clk.After(1, fn).Cancel() }); n != 0 {
+		t.Fatalf("%v allocs per timer", n)
 	}
 }
 
@@ -43,7 +65,7 @@ func TestEveryTicksAtPeriod(t *testing.T) {
 	var ticks []sim.Time
 	stop := Every(clk, 5, 10, func() { ticks = append(ticks, eng.Now()) })
 	eng.RunUntil(36)
-	stop()
+	stop.Cancel()
 	eng.RunUntil(100)
 	want := []sim.Time{5, 15, 25, 35}
 	if len(ticks) != len(want) {
@@ -64,7 +86,7 @@ func TestEveryStopFromCallback(t *testing.T) {
 	stop = Every(clk, 1, 1, func() {
 		count++
 		if count == 3 {
-			stop()
+			stop.Cancel()
 		}
 	})
 	eng.RunUntil(100)
@@ -81,7 +103,7 @@ func TestEveryStopFromCallbackLeavesNothingPending(t *testing.T) {
 	stop = Every(clk, 10, 5, func() {
 		ticks = append(ticks, eng.Now())
 		if len(ticks) == 4 {
-			stop()
+			stop.Cancel()
 		}
 	})
 	eng.RunUntil(1000)
@@ -103,7 +125,7 @@ func TestEveryStopBeforeFirstTick(t *testing.T) {
 	eng := sim.New()
 	fired := false
 	stop := Every(SimClock{Eng: eng}, 10, 5, func() { fired = true })
-	stop()
+	stop.Cancel()
 	eng.RunUntil(100)
 	if fired {
 		t.Fatal("stopped ticker fired")
@@ -114,10 +136,10 @@ func TestEveryStopIdempotent(t *testing.T) {
 	eng := sim.New()
 	clk := SimClock{Eng: eng}
 	stop := Every(clk, 1, 1, func() {})
-	if !stop() {
+	if !stop.Cancel() {
 		t.Fatal("first stop returned false")
 	}
-	if stop() {
+	if stop.Cancel() {
 		t.Fatal("second stop returned true")
 	}
 }

@@ -46,7 +46,7 @@ func runAllocCell(seed uint64, alloc graph.Allocator, rate float64, horizon sim.
 		}
 	})
 	c.RunUntil(start + horizon)
-	stop()
+	stop.Cancel()
 	c.RunUntil(c.Eng.Now() + 120*sim.Second) // drain
 
 	ev := c.Events.Snapshot()

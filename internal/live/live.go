@@ -466,11 +466,11 @@ func (n *liveNode) After(d sim.Time, fn func()) env.Cancel {
 		}
 		n.enqueue(envelope{t: rec})
 	})
-	return func() bool {
+	return env.NewCancel(func(uint64) bool {
 		first := rec.cancelled.CompareAndSwap(false, true)
 		t.Stop()
 		return first
-	}
+	}, 0)
 }
 
 // Send implements env.Context: local nodes get direct mailbox delivery,

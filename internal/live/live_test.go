@@ -77,7 +77,7 @@ func TestTimers(t *testing.T) {
 	rt.Call(id, func() {
 		a.ctx.After(5*sim.Millisecond, func() { fired.Add(1) })
 		cancel := a.ctx.After(5*sim.Millisecond, func() { fired.Add(100) })
-		cancel()
+		cancel.Cancel()
 	})
 	waitFor(t, time.Second, func() bool { return fired.Load() > 0 })
 	time.Sleep(20 * time.Millisecond)

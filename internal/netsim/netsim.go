@@ -93,14 +93,50 @@ type node struct {
 	delivered uint64 // messages handed to the actor (Stats.PerNode)
 }
 
-// New creates a network on the given engine. r seeds per-node random
-// streams; cfg tunes the link model.
+// The typed events a Network schedules on its engine. A is the node the
+// event is for; a delivery's B is its sender and X its message, a
+// timer's X its callback.
+const (
+	evInit uint8 = 1 + iota
+	evDeliver
+	evTimer
+)
+
+// New creates a network on the given engine and registers it as the
+// engine's typed-event target, so an engine hosts one network. r seeds
+// per-node random streams; cfg tunes the link model.
 func New(eng *sim.Engine, r *rng.Rand, cfg Config) *Network {
-	return &Network{
+	n := &Network{
 		eng:   eng,
 		r:     r,
 		cfg:   cfg,
 		names: make(map[reflect.Type]string),
+	}
+	eng.SetTarget(n.fire)
+	return n
+}
+
+// fire dispatches one of the network's events. A dead node's timers and
+// Init are dropped here, so a crash silences them all at once.
+func (n *Network) fire(ev sim.Event) {
+	nd := n.node(env.NodeID(ev.A))
+	switch ev.Kind {
+	case evDeliver:
+		if nd == nil || !nd.alive {
+			n.stats.Dropped++
+			return
+		}
+		n.stats.Delivered++
+		nd.delivered++
+		nd.actor.Receive(env.NodeID(ev.B), ev.X)
+	case evTimer:
+		if nd.alive {
+			ev.X.(func())()
+		}
+	case evInit:
+		if nd.alive {
+			nd.actor.Init(nd)
+		}
 	}
 }
 
@@ -193,11 +229,7 @@ func (n *Network) AddNode(a env.Actor) env.NodeID {
 	id := env.NodeID(len(n.nodes))
 	nd := &node{net: n, id: id, actor: a, r: n.r.Split(), alive: true}
 	n.nodes = append(n.nodes, nd)
-	n.eng.After(0, func() {
-		if nd.alive {
-			a.Init(nd)
-		}
-	})
+	n.eng.Schedule(n.eng.Now(), sim.Event{A: int32(id), Kind: evInit})
 	return id
 }
 
@@ -311,16 +343,11 @@ func (n *Network) transmit(src, dst env.NodeID, m env.Message, extra sim.Time) {
 			delay += sim.Time(kb * 8 / bw * 1e6) // Kb over Kbps, in µs
 		}
 	}
-	n.eng.After(delay, func() {
-		rcv := n.node(dst)
-		if rcv == nil || !rcv.alive {
-			n.stats.Dropped++
-			return
-		}
-		n.stats.Delivered++
-		rcv.delivered++
-		rcv.actor.Receive(src, m)
-	})
+	to := int32(dst)
+	if env.NodeID(to) != dst {
+		to = -1 // no node has an ID past int32, so the delivery drops
+	}
+	n.eng.Schedule(n.eng.Now()+delay, sim.Event{X: m, A: to, B: int32(src), Kind: evDeliver})
 }
 
 // typeName renders a message's type without the package path, once
@@ -347,14 +374,14 @@ func (nd *node) Self() env.NodeID { return nd.id }
 func (nd *node) Now() sim.Time { return nd.net.eng.Now() }
 
 // After implements env.Clock; callbacks are suppressed once the node is
-// dead so crashes cancel all of a node's timers at once.
+// dead so crashes cancel all of a node's timers at once. Arming a timer
+// allocates nothing: it is a typed event and its Cancel a value.
 func (nd *node) After(d sim.Time, fn func()) env.Cancel {
-	h := nd.net.eng.After(d, func() {
-		if nd.alive {
-			fn()
-		}
-	})
-	return h.Cancel
+	if d < 0 || fn == nil {
+		panic(fmt.Sprintf("netsim: timer with delay %v or a nil callback", d))
+	}
+	eng := nd.net.eng
+	return env.SimCancel(eng.Schedule(eng.Now()+d, sim.Event{X: fn, A: int32(nd.id), Kind: evTimer}))
 }
 
 // Send implements env.Context.

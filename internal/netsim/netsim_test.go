@@ -294,6 +294,57 @@ func BenchmarkDeliver(b *testing.B) {
 	eng.Run()
 }
 
+// countActor counts the messages it receives.
+type countActor struct{ n int }
+
+func (a *countActor) Init(env.Context)                {}
+func (a *countActor) Stop()                           {}
+func (a *countActor) Receive(env.NodeID, env.Message) { a.n++ }
+
+// A delivery of a pointer message, and a node timer armed with a
+// callback bound beforehand and then cancelled, allocate nothing.
+func TestDeliveryAndTimerAllocateNothing(t *testing.T) {
+	eng, net := newNet(Config{Latency: UniformLatency(sim.Millisecond), JitterFrac: 0.5})
+	a, b := &countActor{}, &countActor{}
+	ida, idb := net.AddNode(a), net.AddNode(b)
+	eng.Run()
+	src := net.nodes[ida]
+	msg := &ping{Body: "hi"}
+	fn := func() {}
+	for range 64 { // grow the slab, the heap and the per-type map
+		src.Send(idb, msg)
+		src.After(sim.Millisecond, fn)
+	}
+	eng.Run()
+	deliver := testing.AllocsPerRun(1000, func() {
+		src.Send(idb, msg)
+		eng.Step()
+	})
+	timer := testing.AllocsPerRun(1000, func() {
+		src.After(sim.Millisecond, fn).Cancel()
+	})
+	if deliver != 0 || timer != 0 {
+		t.Fatalf("allocs per delivery %v, per timer %v", deliver, timer)
+	}
+	if b.n != 64+1001 {
+		t.Fatalf("delivered %d messages, want %d", b.n, 64+1001)
+	}
+}
+
+// A send to an ID past int32 must not alias a real node when the
+// delivery names its destination in 32 bits.
+func TestSendToHugeIDDrops(t *testing.T) {
+	eng, net := newNet(Config{})
+	a, b := &countActor{}, &countActor{}
+	ida := net.AddNode(a)
+	net.AddNode(b)
+	eng.After(0, func() { net.nodes[ida].Send(1<<32+1, ping{}) })
+	eng.Run()
+	if st := net.Stats(); st.Dropped != 1 || b.n != 0 {
+		t.Fatalf("stats = %+v, node 1 received %d", st, b.n)
+	}
+}
+
 func TestPerNodeStats(t *testing.T) {
 	eng, net := newNet(Config{})
 	a := &echoActor{}

@@ -114,14 +114,14 @@ func (n *replayNode) After(d sim.Time, fn func()) env.Cancel {
 	t := &replayTimer{fn: fn, deadline: n.rp.eng.Now() + d}
 	n.timers[n.timerSeq] = t
 	id := n.timerSeq
-	return func() bool {
+	return env.NewCancel(func(uint64) bool {
 		if t.cancelled || t.fired {
 			return false
 		}
 		t.cancelled = true
 		delete(n.timers, id)
 		return true
-	}
+	}, 0)
 }
 
 // Self implements env.Context.

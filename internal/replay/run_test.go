@@ -329,7 +329,7 @@ type cancelActor struct{}
 
 func (a *cancelActor) Init(ctx env.Context) {
 	cancel := ctx.After(1000, func() {})
-	cancel()
+	cancel.Cancel()
 }
 func (a *cancelActor) Receive(from env.NodeID, m env.Message) {}
 func (a *cancelActor) Stop()                                  {}

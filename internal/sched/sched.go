@@ -214,12 +214,10 @@ func NewProcessor(clk env.Clock, speed float64, policy Policy) *Processor {
 	return &Processor{clk: clk, speed: speed, policy: policy, Quantum: DefaultQuantum}
 }
 
-// cancelTimer fires a Cancel if set and clears it.
+// cancelTimer cancels c and clears it.
 func cancelTimer(c *env.Cancel) {
-	if *c != nil {
-		(*c)()
-		*c = nil
-	}
+	c.Cancel()
+	*c = env.Cancel{}
 }
 
 // Speed returns the processor speed in work units per second.
@@ -357,7 +355,7 @@ func (p *Processor) complete() {
 	t := p.running
 	p.chargeProgress()
 	p.running = nil
-	p.completion = nil
+	p.completion = env.Cancel{}
 	cancelTimer(&p.preempt)
 	for i, rt := range p.ready {
 		if rt == t {
