@@ -57,6 +57,7 @@ type Policy interface {
 	// order of running vs. a queued task can invert without any new
 	// arrival or completion, or 0 if it cannot. Only LLS needs this: a
 	// queued task's laxity shrinks while the running task's is constant.
+	// queued is the processor's scratch slice, valid only for the call.
 	PreemptAt(running *Task, queued []*Task, now sim.Time, speed float64) sim.Time
 }
 
@@ -189,6 +190,11 @@ type Processor struct {
 	completion env.Cancel
 	preempt    env.Cancel
 
+	// The timer callbacks, bound once, and reschedule's scratch list of
+	// the tasks not picked to run.
+	completeFn, rescheduleFn func()
+	queued                   []*Task
+
 	stats      Stats
 	OnComplete func(Completion)
 
@@ -211,7 +217,9 @@ func NewProcessor(clk env.Clock, speed float64, policy Policy) *Processor {
 	if speed <= 0 {
 		panic("sched: non-positive processor speed")
 	}
-	return &Processor{clk: clk, speed: speed, policy: policy, Quantum: DefaultQuantum}
+	p := &Processor{clk: clk, speed: speed, policy: policy, Quantum: DefaultQuantum}
+	p.completeFn, p.rescheduleFn = p.complete, p.reschedule
+	return p
 }
 
 // cancelTimer cancels c and clears it.
@@ -329,24 +337,26 @@ func (p *Processor) reschedule() {
 	if execLeft < 1 {
 		execLeft = 1 // sub-microsecond remainder still takes one tick
 	}
-	p.completion = p.clk.After(execLeft, p.complete)
+	p.completion = p.clk.After(execLeft, p.completeFn)
 
 	// Timed preemption point (LLS only): the earliest instant a queued
 	// task's priority overtakes the running task's.
-	queued := make([]*Task, 0, len(p.ready)-1)
+	queued := p.queued[:0]
 	for _, t := range p.ready {
 		if t != next {
 			queued = append(queued, t)
 		}
 	}
+	p.queued = queued
 	if len(queued) > 0 {
 		now := p.clk.Now()
 		if at := p.policy.PreemptAt(next, queued, now, p.speed); at > now {
 			if min := now + p.Quantum; at < min {
 				at = min
 			}
-			p.preempt = p.clk.After(at-now, p.reschedule)
+			p.preempt = p.clk.After(at-now, p.rescheduleFn)
 		}
+		clear(queued) // hold no finished task until the next call
 	}
 }
 
