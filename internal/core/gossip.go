@@ -1,7 +1,8 @@
 package core
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"repro/internal/bloom"
 	"repro/internal/env"
@@ -84,7 +85,8 @@ func (p *Peer) rmGossipTick() {
 	// Refresh our own load picture every round so AvgUtil propagates.
 	st.bumpVersion()
 	target := st.domains[p.ctx.Rand().Intn(len(st.domains))].rm
-	versions := map[proto.DomainID]uint64{st.domain: st.version}
+	versions := make(map[proto.DomainID]uint64, len(st.domains)+1)
+	versions[st.domain] = st.version
 	for _, rec := range st.domains {
 		if rec.summary != nil {
 			versions[rec.id] = rec.summary.Version
@@ -118,9 +120,22 @@ func (p *Peer) rmHandleGossipDigest(from env.NodeID, msg proto.GossipDigest) {
 			}
 		}
 	}
+	ownBehind := behind(st.domain, st.version)
+	n := 0
+	if ownBehind {
+		n++
+	}
+	for _, rec := range st.domains {
+		if sum := rec.summary; sum != nil && behind(sum.Domain, sum.Version) {
+			n++
+		}
+	}
+	if n > 0 {
+		reply.Summaries = make([]proto.DomainSummary, 0, n)
+	}
 	own, _ := st.domains.find(st.domain)
 	offer(st.domains[:own])
-	if behind(st.domain, st.version) {
+	if ownBehind {
 		reply.Summaries = append(reply.Summaries, p.buildOwnSummary())
 	}
 	offer(st.domains[own:])
@@ -175,7 +190,10 @@ func (p *Peer) rmHandleGossipSummaries(from env.NodeID, msg proto.GossipSummarie
 	if len(msg.Want) == 0 {
 		return
 	}
-	reply := proto.GossipSummaries{From: proto.RMRef{Domain: st.domain, RM: p.ctx.Self()}}
+	reply := proto.GossipSummaries{
+		From:      proto.RMRef{Domain: st.domain, RM: p.ctx.Self()},
+		Summaries: make([]proto.DomainSummary, 0, len(msg.Want)),
+	}
 	for _, d := range msg.Want {
 		if d == st.domain {
 			reply.Summaries = append(reply.Summaries, p.buildOwnSummary())
@@ -184,7 +202,7 @@ func (p *Peer) rmHandleGossipSummaries(from env.NodeID, msg proto.GossipSummarie
 		}
 	}
 	if len(reply.Summaries) > 0 {
-		sort.Slice(reply.Summaries, func(i, j int) bool { return reply.Summaries[i].Domain < reply.Summaries[j].Domain })
+		slices.SortFunc(reply.Summaries, func(a, b proto.DomainSummary) int { return cmp.Compare(a.Domain, b.Domain) })
 		p.ctx.Send(from, reply)
 	}
 }
