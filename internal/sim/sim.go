@@ -6,9 +6,10 @@
 // makes runs bit-reproducible given the same seed and schedule.
 //
 // An event is either a func() callback (At, After) or a typed Event
-// (Schedule) that the engine hands to its one Target when it fires. Both
-// live in a slab of fixed-size slots and the heap holds pointer-free
-// (time, seq|slot) keys, so scheduling and firing allocate nothing.
+// (Schedule) that the engine hands to its one target (SetTarget) when it
+// fires. Both live in a slab of fixed-size slots and the heap holds
+// pointer-free (time, seq|slot) keys, so scheduling and firing allocate
+// nothing.
 package sim
 
 import (
