@@ -21,10 +21,11 @@ import (
 // the owning peer's serialized loop, so no mutex or "guarded by mu"
 // annotation is warranted.
 
-// buildOwnSummary constructs this domain's current summary. The Bloom
-// filters are rebuilt only after a catalog or membership change; every
-// round recomputes the load figures and version.
-func (p *Peer) buildOwnSummary() proto.DomainSummary {
+// buildOwnSummary constructs this domain's current summary, a fresh
+// value on every call: AvgUtil is recomputed each time, and a summary
+// once sent is never written again. The Bloom filters are rebuilt only
+// after a catalog or membership change.
+func (p *Peer) buildOwnSummary() *proto.DomainSummary {
 	st := p.rm
 	if st.objectBloom == nil {
 		objects := bloom.New(p.cfg.BloomM, p.cfg.BloomK)
@@ -47,7 +48,7 @@ func (p *Peer) buildOwnSummary() proto.DomainSummary {
 	if len(st.peers) > 0 {
 		avg = utilSum / float64(len(st.peers))
 	}
-	return proto.DomainSummary{
+	return &proto.DomainSummary{
 		Domain:       st.domain,
 		RM:           p.ctx.Self(),
 		Version:      st.version,
@@ -72,7 +73,9 @@ func (s *rmState) summarized() []*domainRecord {
 	return out
 }
 
-// rmGossipTick opens one anti-entropy round with a random known RM.
+// rmGossipTick opens one anti-entropy round with a random known RM. The
+// digest lists the versions held in domain order, the RM's own in its
+// place, in one walk of the domain table.
 func (p *Peer) rmGossipTick() {
 	st := p.rm
 	if st == nil {
@@ -85,13 +88,14 @@ func (p *Peer) rmGossipTick() {
 	// Refresh our own load picture every round so AvgUtil propagates.
 	st.bumpVersion()
 	target := st.domains[p.ctx.Rand().Intn(len(st.domains))].rm
-	versions := make(map[proto.DomainID]uint64, len(st.domains)+1)
-	versions[st.domain] = st.version
-	for _, rec := range st.domains {
-		if rec.summary != nil {
-			versions[rec.id] = rec.summary.Version
+	versions := make([]proto.DomainVersion, 0, len(st.domains)+1)
+	st.withOwn(func(rec *domainRecord) {
+		if rec == nil {
+			versions = append(versions, proto.DomainVersion{Domain: st.domain, Version: st.version})
+		} else if rec.summary != nil {
+			versions = append(versions, proto.DomainVersion{Domain: rec.id, Version: rec.summary.Version})
 		}
-	}
+	})
 	p.ctx.Send(target, proto.GossipDigest{
 		From:     proto.RMRef{Domain: st.domain, RM: p.ctx.Self()},
 		Versions: versions,
@@ -99,7 +103,8 @@ func (p *Peer) rmGossipTick() {
 }
 
 // rmHandleGossipDigest answers with summaries the digest lacks and asks
-// for ones where the sender is ahead.
+// for ones where the sender is ahead. Both the digest and the domain
+// table ascend by domain, so each answer is one merge of the two.
 func (p *Peer) rmHandleGossipDigest(from env.NodeID, msg proto.GossipDigest) {
 	st := p.rm
 	if st == nil {
@@ -108,67 +113,70 @@ func (p *Peer) rmHandleGossipDigest(from env.NodeID, msg proto.GossipDigest) {
 	st.noteRM(msg.From)
 	reply := proto.GossipSummaries{From: proto.RMRef{Domain: st.domain, RM: p.ctx.Self()}}
 	// Summaries I have that the sender lacks or holds stale, in domain
-	// order with my own in its place.
+	// order with my own in its place. behind is asked in ascending domain
+	// order, so its cursor over the digest only moves forward.
+	theirs := msg.Versions
 	behind := func(d proto.DomainID, v uint64) bool {
-		theirs, ok := msg.Versions[d]
-		return !ok || theirs < v
-	}
-	offer := func(recs []*domainRecord) {
-		for _, rec := range recs {
-			if sum := rec.summary; sum != nil && behind(sum.Domain, sum.Version) {
-				reply.Summaries = append(reply.Summaries, *sum)
-			}
+		for len(theirs) > 0 && theirs[0].Domain < d {
+			theirs = theirs[1:]
 		}
+		return len(theirs) == 0 || theirs[0].Domain != d || theirs[0].Version < v
 	}
-	ownBehind := behind(st.domain, st.version)
-	n := 0
-	if ownBehind {
-		n++
-	}
-	for _, rec := range st.domains {
-		if sum := rec.summary; sum != nil && behind(sum.Domain, sum.Version) {
-			n++
+	st.withOwn(func(rec *domainRecord) {
+		var sum *proto.DomainSummary
+		switch {
+		case rec == nil && behind(st.domain, st.version):
+			sum = p.buildOwnSummary()
+		case rec != nil && rec.summary != nil && behind(rec.summary.Domain, rec.summary.Version):
+			sum = rec.summary
+		default:
+			return
 		}
-	}
-	if n > 0 {
-		reply.Summaries = make([]proto.DomainSummary, 0, n)
-	}
-	own, _ := st.domains.find(st.domain)
-	offer(st.domains[:own])
-	if ownBehind {
-		reply.Summaries = append(reply.Summaries, p.buildOwnSummary())
-	}
-	offer(st.domains[own:])
+		if reply.Summaries == nil {
+			reply.Summaries = make([]*proto.DomainSummary, 0, len(st.domains)+1)
+		}
+		reply.Summaries = append(reply.Summaries, sum)
+	})
 	// Domains where the sender is ahead of me.
-	for _, d := range sortedMapKeys(msg.Versions) {
-		if d == st.domain {
+	at := 0
+	for _, dv := range msg.Versions {
+		if dv.Domain == st.domain {
 			continue
 		}
-		if rec, ok := st.domains.get(d); !ok || rec.summary == nil || rec.summary.Version < msg.Versions[d] {
-			reply.Want = append(reply.Want, d)
+		var known bool
+		at, known = st.domains.seek(at, dv.Domain)
+		if !known || st.domains[at].summary == nil || st.domains[at].summary.Version < dv.Version {
+			reply.Want = append(reply.Want, dv.Domain)
 		}
 	}
 	p.ctx.Send(from, reply)
 }
 
 // rmHandleGossipSummaries installs received summaries and completes the
-// push-pull exchange.
+// push-pull exchange. An installed summary is the received pointer
+// itself: summaries are immutable once sent (see proto.DomainSummary).
 func (p *Peer) rmHandleGossipSummaries(from env.NodeID, msg proto.GossipSummaries) {
 	st := p.rm
 	if st == nil {
 		return
 	}
 	st.noteRM(msg.From)
+	at := 0
 	for _, sum := range msg.Summaries {
 		if sum.Domain == st.domain {
 			continue
+		}
+		var known bool
+		at, known = st.domains.seek(at, sum.Domain)
+		var rec *domainRecord
+		if known {
+			rec = st.domains[at]
 		}
 		// A version at or below the tombstone is a stale copy bouncing back
 		// from a peer that has not pruned yet; reinstalling it would let
 		// dead domains ping-pong between RMs forever. A genuinely live (or
 		// revived) domain bumps its version every gossip round and climbs
 		// past the tombstone quickly.
-		rec, known := st.domains.get(sum.Domain)
 		if known && rec.pruned > 0 {
 			if sum.Version <= rec.pruned {
 				continue
@@ -176,11 +184,11 @@ func (p *Peer) rmHandleGossipSummaries(from env.NodeID, msg proto.GossipSummarie
 			rec.pruned = 0
 		}
 		if !known || rec.summary == nil || sum.Version > rec.summary.Version {
-			rec = st.noteRM(proto.RMRef{Domain: sum.Domain, RM: sum.RM})
-			if rec.summary == nil {
-				rec.summary = new(proto.DomainSummary)
+			if !known {
+				rec = &domainRecord{id: sum.Domain}
+				st.domains = slices.Insert(st.domains, at, rec)
 			}
-			*rec.summary = sum // replies copy summaries out, so none aliases this one
+			rec.rm, rec.summary = sum.RM, sum
 			// Freshness = version advancement. An equal-version copy is NOT
 			// evidence of life: live RMs bump their version every gossip
 			// tick, so a frozen version is exactly the death signal.
@@ -192,17 +200,22 @@ func (p *Peer) rmHandleGossipSummaries(from env.NodeID, msg proto.GossipSummarie
 	}
 	reply := proto.GossipSummaries{
 		From:      proto.RMRef{Domain: st.domain, RM: p.ctx.Self()},
-		Summaries: make([]proto.DomainSummary, 0, len(msg.Want)),
+		Summaries: make([]*proto.DomainSummary, 0, len(msg.Want)),
 	}
+	at = 0
 	for _, d := range msg.Want {
 		if d == st.domain {
 			reply.Summaries = append(reply.Summaries, p.buildOwnSummary())
-		} else if rec, ok := st.domains.get(d); ok && rec.summary != nil {
-			reply.Summaries = append(reply.Summaries, *rec.summary)
+			continue
+		}
+		var known bool
+		if at, known = st.domains.seek(at, d); known && st.domains[at].summary != nil {
+			reply.Summaries = append(reply.Summaries, st.domains[at].summary)
 		}
 	}
 	if len(reply.Summaries) > 0 {
-		slices.SortFunc(reply.Summaries, func(a, b proto.DomainSummary) int { return cmp.Compare(a.Domain, b.Domain) })
+		// An honest Want ascends, so this only reorders a hostile one.
+		slices.SortFunc(reply.Summaries, func(a, b *proto.DomainSummary) int { return cmp.Compare(a.Domain, b.Domain) })
 		p.ctx.Send(from, reply)
 	}
 }

@@ -44,7 +44,7 @@ func BenchmarkRMGossipRound(b *testing.B) {
 			objects.AddString(fmt.Sprintf("obj-%d-%d", d, o))
 		}
 		id := proto.DomainID(100 + d)
-		sums.Summaries = append(sums.Summaries, proto.DomainSummary{
+		sums.Summaries = append(sums.Summaries, &proto.DomainSummary{
 			Domain: id, RM: env.NodeID(id), Version: 1, NumPeers: 4, AvgUtil: float64(d%7) / 10,
 			ObjectBloom: objects.Bytes(), ServiceBloom: bloom.New(cfg.BloomM, cfg.BloomK).Bytes(),
 			BloomM: cfg.BloomM, BloomK: cfg.BloomK,

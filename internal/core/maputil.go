@@ -30,8 +30,34 @@ type keyed[K cmp.Ordered] interface{ key() K }
 type table[K cmp.Ordered, R keyed[K]] []R
 
 // find returns the position of key k, or the position it would take.
+// It is a plain binary search on < and ==, with no comparison callback:
+// no table has a float key, so no key is NaN and < is a strict total
+// order.
 func (t table[K, R]) find(k K) (int, bool) {
-	return slices.BinarySearchFunc(t, k, func(r R, k K) int { return cmp.Compare(r.key(), k) })
+	lo, hi := 0, len(t)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if t[m].key() < k {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo, lo < len(t) && t[lo].key() == k
+}
+
+// seek is find for a caller that looks keys up in ascending order: from
+// i (at most len(t)), the position the previous seek returned, it scans
+// forward, so a sorted run of lookups is one merge with the table. A key
+// that does not lie after t[i-1] (out of order) falls back to find.
+func (t table[K, R]) seek(i int, k K) (int, bool) {
+	if i > 0 && t[i-1].key() >= k {
+		return t.find(k)
+	}
+	for i < len(t) && t[i].key() < k {
+		i++
+	}
+	return i, i < len(t) && t[i].key() == k
 }
 
 // get returns the record under key k.

@@ -124,18 +124,30 @@ type rmSession struct {
 
 func (s *rmSession) key() string { return s.desc.TaskID }
 
+// withOwn calls fn for every domain in domain order: with the record of
+// each other domain, and with nil for the RM's own domain in its place.
+func (s *rmState) withOwn(fn func(rec *domainRecord)) {
+	own, _ := s.domains.find(s.domain)
+	for _, rec := range s.domains[:own] {
+		fn(rec)
+	}
+	fn(nil)
+	for _, rec := range s.domains[own:] {
+		fn(rec)
+	}
+}
+
 // rmRefs lists every RM this one knows, itself (self) included, in
 // domain order.
 func (s *rmState) rmRefs(self env.NodeID) []proto.RMRef {
 	out := make([]proto.RMRef, 0, len(s.domains)+1)
-	own, _ := s.domains.find(s.domain)
-	for _, rec := range s.domains[:own] {
-		out = append(out, proto.RMRef{Domain: rec.id, RM: rec.rm})
-	}
-	out = append(out, proto.RMRef{Domain: s.domain, RM: self})
-	for _, rec := range s.domains[own:] {
-		out = append(out, proto.RMRef{Domain: rec.id, RM: rec.rm})
-	}
+	s.withOwn(func(rec *domainRecord) {
+		if rec == nil {
+			out = append(out, proto.RMRef{Domain: s.domain, RM: self})
+		} else {
+			out = append(out, proto.RMRef{Domain: rec.id, RM: rec.rm})
+		}
+	})
 	return out
 }
 
@@ -288,8 +300,12 @@ func (s *rmState) noteRM(ref proto.RMRef) *domainRecord {
 		s.domains.put(rec)
 	}
 	rec.rm = ref.RM
-	if rec.summary != nil {
-		rec.summary.RM = ref.RM
+	if rec.summary != nil && rec.summary.RM != ref.RM {
+		// Summaries are shared with other RMs and messages and never
+		// written in place: copy on write.
+		sum := *rec.summary
+		sum.RM = ref.RM
+		rec.summary = &sum
 	}
 	return rec
 }
@@ -513,13 +529,22 @@ func (p *Peer) rmBackupSyncTick() {
 // rmSnapshot captures the replicated DomainState.
 func (p *Peer) rmSnapshot() proto.DomainState {
 	st := p.rm
-	ds := proto.DomainState{Domain: st.domain, Version: st.version}
-	for _, rec := range st.peers {
-		ds.Peers = append(ds.Peers, proto.PeerSnapshot{Info: rec.info, Load: rec.load})
+	ds := proto.DomainState{Domain: st.domain, Version: st.version, Peers: make([]proto.PeerSnapshot, len(st.peers))}
+	for i, rec := range st.peers {
+		ds.Peers[i] = proto.PeerSnapshot{Info: rec.info, Load: rec.load}
 	}
+	running := 0
 	for _, sess := range st.sessions {
 		if sess.state == sessRunning {
-			ds.Sessions = append(ds.Sessions, sess.desc)
+			running++
+		}
+	}
+	if running > 0 {
+		ds.Sessions = make([]proto.SessionDesc, 0, running)
+		for _, sess := range st.sessions {
+			if sess.state == sessRunning {
+				ds.Sessions = append(ds.Sessions, sess.desc)
+			}
 		}
 	}
 	ds.KnownRMs = st.rmRefs(p.ctx.Self())

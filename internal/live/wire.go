@@ -50,9 +50,10 @@ const maxCreditFrame = 32
 // transport's limit. The connection cannot be resynchronized past it.
 var errFrameTooLarge = errors.New("live: frame exceeds size limit")
 
-// errUnencodable marks a payload whose type the proto codec does not
-// know; the supervisor drops it as encode_error.
-var errUnencodable = errors.New("live: payload type not in the wire codec")
+// errUnencodable marks a payload the proto codec has no encoding for (a
+// type outside its message set, or a gossip digest out of canonical
+// order); the supervisor drops it as encode_error.
+var errUnencodable = errors.New("live: payload has no wire codec encoding")
 
 // appendFrameV2 appends wm to dst as one data frame. scratch holds the
 // frame body between calls so the length prefix can be sized exactly;

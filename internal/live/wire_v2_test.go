@@ -104,10 +104,20 @@ func FuzzWireCodec(f *testing.F) {
 		proto.SessionAbort{}, proto.SessionEnd{}, proto.GossipDigest{}, proto.GossipSummaries{},
 		proto.HeartbeatReq{Seq: 1 << 40, Backup: 3},
 		proto.Chunk{TaskID: "t", Generation: 1, Index: 9, SizeKBv: 96.5, Deadline: 1, Emitted: 2},
-		proto.GossipDigest{From: proto.RMRef{Domain: 1, RM: 2}, Versions: map[proto.DomainID]uint64{1: 4, 9: 2}},
+		proto.GossipDigest{From: proto.RMRef{Domain: 1, RM: 2}, Versions: []proto.DomainVersion{{Domain: 1, Version: 4}, {Domain: 9, Version: 2}}},
 		proto.FindNode{}, proto.FindValue{}, proto.Store{}, proto.Nodes{}, proto.Providers{},
 	} {
 		seed(m)
+	}
+	// Gossip digests out of canonical order, from 1 to 2: the encoder
+	// refuses to write them, so they are framed by hand. Decoding must
+	// reject them (readInbound re-encodes whatever decodes).
+	for _, payload := range [][]byte{
+		{0x13, 2, 2, 2, 6, 1, 2, 1},       // versions unsorted
+		{0x13, 2, 2, 3, 2, 1, 8, 2, 8, 3}, // a domain twice
+	} {
+		body := append([]byte{frameData, 2, 4}, payload...)
+		f.Add(append(binary.AppendUvarint(nil, uint64(len(body))), body...))
 	}
 	f.Add(appendCreditFrame(nil, 8192, 4<<20))
 	f.Add(binary.AppendUvarint(nil, 1<<40)) // hostile length declaration

@@ -15,6 +15,9 @@ package proto
 // byte blobs are length-prefixed (uvarint); slices and maps are
 // count-prefixed. Map entries are emitted in sorted key order so equal
 // messages encode to equal bytes. Empty slices and maps decode to nil.
+// A gossip digest's versions are a list kept in canonical form, strictly
+// ascending by domain: AppendMessage refuses any other order and the
+// decoder rejects it, so a digest has exactly one encoding.
 //
 // The set of kind tags is append-only: tags are wire format, never
 // renumber them. Types outside the set cannot leave memory: the live
@@ -62,8 +65,10 @@ const (
 	kindProviders        = 0x19
 )
 
-// AppendMessage appends the encoding of m to b and reports whether m's
-// concrete type is in the message set. ok=false leaves b unchanged.
+// AppendMessage appends the encoding of m to b and reports whether m has
+// one: its concrete type must be in the message set and, for a gossip
+// digest, its versions strictly ascending by domain. ok=false leaves b
+// unchanged.
 func AppendMessage(b []byte, m env.Message) ([]byte, bool) {
 	switch v := m.(type) {
 	case Join:
@@ -151,9 +156,16 @@ func AppendMessage(b []byte, m env.Message) ([]byte, bool) {
 		b = appendSessionReport(b, v.Report)
 		b = appendTC(b, v.TC)
 	case GossipDigest:
+		if !ascendingVersions(v.Versions) {
+			return b, false
+		}
 		b = append(b, kindGossipDigest)
 		b = appendRMRef(b, v.From)
-		b = appendVersions(b, v.Versions)
+		b = binary.AppendUvarint(b, uint64(len(v.Versions)))
+		for _, dv := range v.Versions {
+			b = appendNum(b, int(dv.Domain))
+			b = binary.AppendUvarint(b, dv.Version)
+		}
 	case GossipSummaries:
 		b = append(b, kindGossipSummaries)
 		b = appendRMRef(b, v.From)
@@ -278,9 +290,11 @@ func DecodeMessage(b []byte) (env.Message, error) {
 	case kindGossipSummaries:
 		g := GossipSummaries{From: d.rmRef()}
 		if n := d.count("summaries"); n > 0 {
-			g.Summaries = make([]DomainSummary, n)
-			for i := range g.Summaries {
-				g.Summaries[i] = d.domainSummary()
+			sums := make([]DomainSummary, n)
+			g.Summaries = make([]*DomainSummary, n)
+			for i := range sums {
+				sums[i] = d.domainSummary()
+				g.Summaries[i] = &sums[i]
 			}
 		}
 		if n := d.count("want"); n > 0 {
@@ -472,7 +486,7 @@ func appendDomainState(b []byte, s DomainState) []byte {
 	return binary.AppendUvarint(b, s.Version)
 }
 
-func appendDomainSummary(b []byte, s DomainSummary) []byte {
+func appendDomainSummary(b []byte, s *DomainSummary) []byte {
 	b = appendNum(b, int(s.Domain))
 	b = appendNum(b, int(s.RM))
 	b = binary.AppendUvarint(b, s.Version)
@@ -526,20 +540,15 @@ func appendReport(b []byte, r profiler.Report) []byte {
 	return b
 }
 
-func appendVersions(b []byte, vs map[DomainID]uint64) []byte {
-	b = binary.AppendUvarint(b, uint64(len(vs)))
-	if len(vs) > 0 {
-		keys := make([]int, 0, len(vs))
-		for k := range vs {
-			keys = append(keys, int(k))
-		}
-		sort.Ints(keys)
-		for _, k := range keys {
-			b = appendNum(b, k)
-			b = binary.AppendUvarint(b, vs[DomainID(k)])
+// ascendingVersions reports whether a digest's versions are in their
+// canonical order: strictly ascending by domain, each domain once.
+func ascendingVersions(vs []DomainVersion) bool {
+	for i := 1; i < len(vs); i++ {
+		if vs[i].Domain <= vs[i-1].Domain {
+			return false
 		}
 	}
-	return b
+	return true
 }
 
 // --- decode side ---
@@ -856,15 +865,19 @@ func (d *wireDecoder) provider() DHTProvider {
 	}
 }
 
-func (d *wireDecoder) versions() map[DomainID]uint64 {
+// versions decodes a digest's version list, rejecting any that is not
+// strictly ascending by domain (see ascendingVersions).
+func (d *wireDecoder) versions() []DomainVersion {
 	n := d.count("versions")
 	if n == 0 {
 		return nil
 	}
-	out := make(map[DomainID]uint64, n)
-	for i := 0; i < n; i++ {
-		k := DomainID(d.num("version domain"))
-		out[k] = d.uvarint("version")
+	out := make([]DomainVersion, n)
+	for i := range out {
+		out[i] = DomainVersion{Domain: DomainID(d.num("version domain")), Version: d.uvarint("version")}
+	}
+	if d.err == nil && !ascendingVersions(out) {
+		d.fail("version order")
 	}
 	return out
 }

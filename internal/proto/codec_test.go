@@ -2,7 +2,9 @@ package proto
 
 import (
 	"bytes"
+	"encoding/hex"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/env"
@@ -108,11 +110,11 @@ func codecSamples() []env.Message {
 			StartupMicros: 120_000, MeanLatencyMicros: 420.5, Repaired: 1,
 			FinishedMicros: 60_000_000, Hops: 2,
 		}, TC: TraceContext{Trace: 8, Parent: 3}},
-		GossipDigest{From: RMRef{Domain: 2, RM: 5}, Versions: map[DomainID]uint64{0: 4, 2: 19, 7: 1}},
+		GossipDigest{From: RMRef{Domain: 2, RM: 5}, Versions: []DomainVersion{{0, 4}, {2, 19}, {7, 1}}},
 		GossipDigest{From: RMRef{Domain: 0, RM: 0}},
 		GossipSummaries{
 			From: RMRef{Domain: 2, RM: 5},
-			Summaries: []DomainSummary{{
+			Summaries: []*DomainSummary{{
 				Domain: 0, RM: 0, Version: 4, NumPeers: 12, AvgUtil: 0.4,
 				ObjectBloom: []byte{0xff, 0x01, 0x80}, ServiceBloom: []byte{0x10},
 				BloomM: 1024, BloomK: 3,
@@ -227,8 +229,8 @@ func TestCodecHostileCounts(t *testing.T) {
 		"slice count": {kindJoinAccept, 0, 0, 0, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x10},
 		// JoinRedirect with target 0 and a giant reason length.
 		"string length": {kindJoinRedirect, 0, 0xff, 0xff, 0xff, 0xff, 0x0f},
-		// GossipDigest From(0,0) and a giant map count.
-		"map count": {kindGossipDigest, 0, 0, 0xff, 0xff, 0xff, 0xff, 0x0f},
+		// GossipDigest From(0,0) and a giant version count.
+		"version count": {kindGossipDigest, 0, 0, 0xff, 0xff, 0xff, 0xff, 0x0f},
 		// ComposeAck with a flag byte outside {0,1}.
 		"bad flag":     {kindComposeAck, 0, 0, 0, 2, 0},
 		"empty":        {},
@@ -253,7 +255,6 @@ func TestCodecDeterministicMaps(t *testing.T) {
 			ServiceTimes: map[string]float64{"x": 1, "y": 2, "z": 3, "w": 4},
 			CommTimes:    map[int]float64{4: 4, 1: 1, 3: 3, 2: 2},
 		}},
-		GossipDigest{Versions: map[DomainID]uint64{5: 5, 1: 1, 9: 9, 3: 3}},
 	}
 	for _, m := range msgs {
 		first, _ := AppendMessage(nil, m)
@@ -284,5 +285,51 @@ func TestCodecZeroAllocEncode(t *testing.T) {
 		if allocs != 0 {
 			t.Fatalf("%T: %v allocs per encode, want 0", m, allocs)
 		}
+	}
+}
+
+// TestCodecDigestBytes pins a digest's wire bytes. The versions were a
+// map encoded as ascending (domain, version) pairs; the canonical list
+// encodes to the same bytes, so recordings and live peers on either side
+// of that change read each other's digests.
+func TestCodecDigestBytes(t *testing.T) {
+	m := GossipDigest{From: RMRef{Domain: 2, RM: 5}, Versions: []DomainVersion{{0, 4}, {2, 19}, {7, 1}}}
+	enc, ok := AppendMessage(nil, m)
+	if !ok {
+		t.Fatal("digest not encodable")
+	}
+	if got, want := hex.EncodeToString(enc), "13040a03000404130e01"; got != want {
+		t.Fatalf("digest bytes = %s, want %s", got, want)
+	}
+}
+
+// TestCodecDigestCanonicalOrder checks both sides of the digest's
+// canonical form: encoding refuses versions that are not strictly
+// ascending by domain, and decoding rejects such bytes.
+func TestCodecDigestCanonicalOrder(t *testing.T) {
+	for name, vs := range map[string][]DomainVersion{
+		"unsorted":  {{3, 1}, {1, 1}},
+		"duplicate": {{1, 1}, {4, 2}, {4, 3}},
+	} {
+		buf := []byte{0xaa}
+		out, ok := AppendMessage(buf, GossipDigest{From: RMRef{Domain: 1, RM: 1}, Versions: vs})
+		if ok || !bytes.Equal(out, buf) {
+			t.Fatalf("%s digest encoded: ok=%v, %x", name, ok, out)
+		}
+	}
+	for name, b := range nonCanonicalDigests() {
+		_, err := DecodeMessage(b)
+		if err == nil || !strings.Contains(err.Error(), "invalid version order") {
+			t.Fatalf("%s digest: err = %v, want invalid version order", name, err)
+		}
+	}
+}
+
+// nonCanonicalDigests hand-encodes digests the encoder refuses to write:
+// From (1, 1), then two or three (domain, version) pairs.
+func nonCanonicalDigests() map[string][]byte {
+	return map[string][]byte{
+		"unsorted":  {kindGossipDigest, 2, 2, 2, 6, 1, 2, 1},
+		"duplicate": {kindGossipDigest, 2, 2, 3, 2, 1, 8, 2, 8, 3},
 	}
 }

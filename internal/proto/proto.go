@@ -342,6 +342,12 @@ type SessionEnd struct {
 
 // DomainSummary is the lazily propagated per-domain summary: Bloom
 // filters of available objects and services plus coarse load.
+//
+// Summaries travel and are kept by pointer: a gossip reply carries the
+// responder's installed pointers and the receiver installs them as they
+// are, so one value may be held by many RMs and messages at once.
+// Nothing writes a DomainSummary after it is sent or installed; a
+// changed summary is a new value.
 type DomainSummary struct {
 	Domain       DomainID
 	RM           env.NodeID
@@ -354,17 +360,25 @@ type DomainSummary struct {
 	BloomK       uint32
 }
 
-// GossipDigest opens an anti-entropy round: the versions the sender holds.
+// DomainVersion is one digest entry: the version of a domain's summary
+// that the digest's sender holds.
+type DomainVersion struct {
+	Domain  DomainID
+	Version uint64
+}
+
+// GossipDigest opens an anti-entropy round: the versions the sender
+// holds, strictly ascending by domain. The codec encodes no other order.
 type GossipDigest struct {
 	From     RMRef
-	Versions map[DomainID]uint64
+	Versions []DomainVersion
 }
 
 // GossipSummaries answers with summaries the digest shows as stale and
 // asks for those the sender lacks.
 type GossipSummaries struct {
 	From      RMRef
-	Summaries []DomainSummary
+	Summaries []*DomainSummary // ascending by domain from an honest sender
 	// Want lists domains the responder wants newer versions of; the
 	// receiver replies once more with just those (push-pull completion).
 	Want []DomainID
