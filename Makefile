@@ -80,11 +80,14 @@ fuzz-scenario:
 # replay is the flight-recorder gate: the record/replay round-trip
 # property tests under the race detector (a chaos recording replays to
 # an identical trace; corrupted logs report the divergence point, never
-# panic), then a CLI smoke — a founder p2pnode records two seconds of
-# live heartbeats, is SIGTERM-flushed, and the log replays cleanly
-# through p2psim's deterministic scheduler.
+# panic), twenty more runs of the recording-cut test (recording stopped
+# at a random instant under traffic must still replay cleanly), then a
+# CLI smoke — a founder p2pnode records two seconds of live heartbeats,
+# is SIGTERM-flushed, and the log replays cleanly through p2psim's
+# deterministic scheduler.
 replay: bin/p2pnode bin/p2psim
 	$(GO) test -race -count=1 ./internal/replay/
+	$(GO) test -race -count=20 -run TestReplayStopRecordMidRun ./internal/replay/
 	rm -rf bin/replay-smoke
 	./bin/p2pnode -id 0 -founder -listen 127.0.0.1:0 -record bin/replay-smoke & \
 	pid=$$!; sleep 2; kill -TERM $$pid; \

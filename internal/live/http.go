@@ -240,14 +240,14 @@ func (rt *Runtime) handleRecord(w http.ResponseWriter, r *http.Request) {
 			json.NewEncoder(w).Encode(map[string]string{"error": "missing ?dir="})
 			return
 		}
-		if err := ctl.StartRecording(dir); err != nil {
+		if err := ctl.Record(dir); err != nil {
 			w.WriteHeader(http.StatusConflict)
 			json.NewEncoder(w).Encode(map[string]string{"error": err.Error()})
 			return
 		}
 		json.NewEncoder(w).Encode(ctl.RecordStatus())
 	case http.MethodDelete:
-		if err := ctl.StopRecording(); err != nil {
+		if err := ctl.StopRecord(); err != nil {
 			w.WriteHeader(http.StatusInternalServerError)
 			json.NewEncoder(w).Encode(map[string]string{"error": err.Error()})
 			return

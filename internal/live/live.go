@@ -93,8 +93,9 @@ type Runtime struct {
 	faults atomic.Pointer[FaultInjector]
 
 	// rec, when set, receives every nondeterministic input (see
-	// SetRecorder).
-	rec atomic.Pointer[recState]
+	// SetRecorder); recSwap serializes its replacement.
+	rec     atomic.Pointer[recState]
+	recSwap sync.Mutex
 
 	// recCtl, when set, lets the /record diagnostics endpoint start and
 	// stop recording (the facade that owns recorder lifecycle installs
@@ -132,7 +133,8 @@ type liveNode struct {
 	// event-loop goroutine (no lock needed, like actor state).
 	now      int64 // latched clock for the envelope being dispatched
 	timerSeq uint64
-	recN     int // envelopes dispatched since the last digest record
+	recN     int       // envelopes dispatched since the last digest record
+	rs       *recState // recorder the running handler was dispatched with, read-held
 }
 
 // AddNode hosts an actor under the next free ID and starts its loop.
@@ -188,9 +190,10 @@ func (rt *Runtime) Stop(id env.NodeID) {
 	}
 	close(n.quit)
 	<-n.done
-	if rs := rt.recState(); rs != nil {
+	if rs := rt.enterRec(); rs != nil {
 		d, ok := digestOf(n.actor)
 		rs.rec.RecordStop(id, rt.nowMicros(), d, ok)
+		rs.mu.RUnlock()
 	}
 	rt.mu.Lock()
 	delete(rt.nodes, id)
@@ -210,9 +213,10 @@ func (rt *Runtime) Kill(id env.NodeID) {
 	}
 	close(n.quit)
 	<-n.done
-	if rs := rt.recState(); rs != nil {
+	if rs := rt.enterRec(); rs != nil {
 		d, ok := digestOf(n.actor)
 		rs.rec.RecordKill(id, rt.nowMicros(), d, ok)
+		rs.mu.RUnlock()
 	}
 	rt.mu.Lock()
 	delete(rt.nodes, id)
@@ -377,14 +381,17 @@ func (n *liveNode) latch() { n.now = n.rt.nowMicros() }
 // loop is the node's serialized executor and the recorder's main hook
 // point: nondeterministic arrival order becomes deterministic dispatch
 // order here, so this is where deliveries, timer firings and named calls
-// are logged (replay:recorded).
+// are logged (replay:recorded). A recorded handler runs under the
+// recorder it was dispatched with (n.rs), which its sends log to as
+// well, so a recording cut falls between handlers (see SetRecorder).
 func (n *liveNode) loop() {
 	defer close(n.done)
 	n.latch()
-	if rs := n.rt.recState(); rs != nil {
-		rs.rec.RecordStart(n.id, n.now, n.seed, replayInitOf(n.actor))
+	if n.rs = n.rt.enterRec(); n.rs != nil {
+		n.rs.rec.RecordStart(n.id, n.now, n.seed, replayInitOf(n.actor))
 	}
 	n.actor.Init(n)
+	n.exitRec()
 	for {
 		select {
 		case <-n.quit:
@@ -394,15 +401,20 @@ func (n *liveNode) loop() {
 			return
 		case e := <-n.mailbox:
 			n.latch()
-			rs := n.rt.recState()
+			if e.call == nil && e.fn != nil {
+				e.fn() // plain Call: read-only by contract, not recorded
+				continue
+			}
+			// The cancelled check must precede the record: a timer
+			// cancelled after its envelope was enqueued fires nothing,
+			// and the log must reflect that.
+			if e.t != nil && e.t.cancelled.Load() {
+				continue
+			}
+			rs := n.rt.enterRec()
+			n.rs = rs
 			switch {
 			case e.t != nil:
-				// The cancelled check must precede the record: a timer
-				// cancelled after its envelope was enqueued fires
-				// nothing, and the log must reflect that.
-				if e.t.cancelled.Load() {
-					continue
-				}
 				if rs != nil {
 					rs.rec.RecordTimer(n.id, n.now, e.t.id, e.t.deadline)
 				}
@@ -412,18 +424,25 @@ func (n *liveNode) loop() {
 					rs.rec.RecordCall(n.id, n.now, e.call.name, e.call.arg)
 				}
 				e.fn()
-			case e.fn != nil:
-				e.fn() // plain Call: read-only by contract, not recorded
 			default:
 				if rs != nil {
 					rs.rec.RecordDeliver(n.id, e.from, n.now, e.msg)
 				}
 				n.actor.Receive(e.from, e.msg)
 			}
-			if rs != nil && (e.fn == nil || e.call != nil) {
+			if rs != nil {
 				n.maybeDigest(rs)
 			}
+			n.exitRec()
 		}
+	}
+}
+
+// exitRec releases the recorder the finished handler ran under.
+func (n *liveNode) exitRec() {
+	if n.rs != nil {
+		n.rs.mu.RUnlock()
+		n.rs = nil
 	}
 }
 
@@ -431,7 +450,7 @@ func (n *liveNode) loop() {
 // giving the replayer periodic divergence checkpoints.
 func (n *liveNode) maybeDigest(rs *recState) {
 	n.recN++
-	if rs.digestEvery <= 0 || n.recN%rs.digestEvery != 0 {
+	if n.recN%digestEvery != 0 {
 		return
 	}
 	if d, ok := digestOf(n.actor); ok {
@@ -482,8 +501,8 @@ func (n *liveNode) Send(to env.NodeID, m env.Message) {
 	if n.stopped.Load() {
 		return
 	}
-	if rs := n.rt.recState(); rs != nil {
-		rs.rec.RecordSend(n.id, to, n.now, m)
+	if n.rs != nil {
+		n.rs.rec.RecordSend(n.id, to, n.now, m)
 	}
 	if dst := n.rt.node(to); dst != nil {
 		n.rt.deliverLocal(n.id, to, dst, m)
@@ -550,7 +569,7 @@ func (rt *Runtime) recordFault(from, to env.NodeID, d faultDecision) {
 	if !d.drop && !d.dup && d.delay <= 0 {
 		return
 	}
-	if rs := rt.recState(); rs != nil {
+	if rs := rt.rec.Load(); rs != nil {
 		rs.rec.RecordFault(from, to, rt.nowMicros(), d.drop, d.dup,
 			int64(d.delay/time.Microsecond))
 	}

@@ -7,13 +7,19 @@ package live
 // Recorder without this package importing it (no cycle: replay depends
 // only on env/rng/sim/trace).
 
-import "repro/internal/env"
+import (
+	"sync"
+
+	"repro/internal/env"
+)
 
 // Recorder receives every nondeterministic input the runtime resolves.
-// Methods are called from node event-loop goroutines (and Stop/Kill from
-// whichever goroutine stops the node, strictly after the loop exited);
-// implementations must be safe for concurrent use and must never block —
-// a recorder that cannot keep up drops events and counts them instead.
+// Methods are called from node event-loop goroutines, inside the
+// handler whose input or output they log (and Stop/Kill from whichever
+// goroutine stops the node, strictly after the loop exited), so
+// implementations must be safe for concurrent use. A call holds up the
+// node loop for as long as it runs: implementations write synchronously
+// and quickly, and must not call back into the runtime.
 //
 // nowMicros is the node clock latched for the event (see liveNode.latch);
 // replay re-executes the event at exactly that virtual time.
@@ -77,37 +83,72 @@ func replayInitOf(a env.Actor) []byte {
 	return nil
 }
 
-// recState pairs the attached recorder with its digest cadence.
+// digestEvery is the per-node interval, in recorded envelopes, between
+// state-digest checkpoints.
+const digestEvery = 8
+
+// recState is one attached recorder and the cut that detaching it makes
+// between handler executions. mu is read-held by every handler
+// dispatched under rec, from its recorded input through its last Send;
+// detaching write-locks it, waiting for those handlers, and a handler
+// that locks it later finds detached set.
 type recState struct {
-	rec         Recorder
-	digestEvery int
+	rec      Recorder
+	mu       sync.RWMutex
+	detached bool // guarded by mu
 }
 
-// DefaultDigestEvery is the digest-checkpoint cadence SetRecorder uses
-// when the caller passes a non-positive interval.
-const DefaultDigestEvery = 8
-
-// SetRecorder attaches rec to the runtime (nil detaches). digestEvery is
-// the per-node envelope interval between state-digest checkpoints
-// (<= 0 selects DefaultDigestEvery). Attach before adding nodes: nodes
-// hosted earlier have no RecordStart event, and a replay of such a log
-// reports them as unknown instead of reconstructing them.
-func (rt *Runtime) SetRecorder(rec Recorder, digestEvery int) {
+// SetRecorder attaches rec to the runtime (nil detaches). Attach before
+// adding nodes: nodes hosted earlier have no RecordStart event, and a
+// replay of such a log reports them as unknown instead of
+// reconstructing them.
+//
+// Replacing or detaching a recorder cuts the recording between handler
+// executions. A handler that started under the old recorder is logged
+// to it completely, its input and all of its sends, and SetRecorder
+// waits for it to return; a handler that starts later is not logged to
+// it at all. The old recorder may be closed once SetRecorder returns.
+// atCut, when non-nil, runs at the cut itself, while no handler runs,
+// so state that handlers write (a session trace, say) can be captured
+// consistent with the log. Only running handlers delay the cut; stopped
+// nodes and queued mailbox work do not. Calling SetRecorder from a
+// handler, or waiting for a node loop in atCut, deadlocks.
+func (rt *Runtime) SetRecorder(rec Recorder, atCut func()) {
+	rt.recSwap.Lock()
+	defer rt.recSwap.Unlock()
+	if old := rt.rec.Load(); old != nil {
+		old.mu.Lock()
+		defer old.mu.Unlock()
+		old.detached = true
+	}
 	if rec == nil {
 		rt.rec.Store(nil)
-		return
+	} else {
+		rt.rec.Store(&recState{rec: rec})
 	}
-	if digestEvery <= 0 {
-		digestEvery = DefaultDigestEvery
+	if atCut != nil {
+		atCut()
 	}
-	rt.rec.Store(&recState{rec: rec, digestEvery: digestEvery})
 }
 
-// recState returns the attached recorder state, nil when not recording.
-func (rt *Runtime) recState() *recState { return rt.rec.Load() }
-
-// Recording reports whether a recorder is attached.
-func (rt *Runtime) Recording() bool { return rt.rec.Load() != nil }
+// enterRec read-locks and returns the attached recorder state for one
+// handler execution (or a node's Stop/Kill record), nil when not
+// recording. A state found detached was replaced after the load (the
+// store precedes the unlock), so the load is retried. Release a non-nil
+// result with rs.mu.RUnlock.
+func (rt *Runtime) enterRec() *recState {
+	for {
+		rs := rt.rec.Load()
+		if rs == nil {
+			return nil
+		}
+		rs.mu.RLock()
+		if !rs.detached {
+			return rs
+		}
+		rs.mu.RUnlock()
+	}
+}
 
 // RecordStatus describes the recording state for diagnostics.
 type RecordStatus struct {
@@ -115,7 +156,9 @@ type RecordStatus struct {
 	Dir       string `json:"dir,omitempty"`
 	Events    uint64 `json:"events"`
 	Bytes     uint64 `json:"bytes"`
-	Dropped   uint64 `json:"dropped"`
+	// Dropped counts events that reached the recorder after it closed;
+	// an open recorder writes every event.
+	Dropped uint64 `json:"dropped"`
 }
 
 // RecordControl is the facade-level recorder lifecycle the /record
@@ -123,8 +166,8 @@ type RecordStatus struct {
 // trace sink) implements it and installs itself with SetRecordControl.
 type RecordControl interface {
 	RecordStatus() RecordStatus
-	StartRecording(dir string) error
-	StopRecording() error
+	Record(dir string) error
+	StopRecord() error
 }
 
 // SetRecordControl installs the recorder lifecycle hook used by the

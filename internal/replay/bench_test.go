@@ -4,12 +4,11 @@ package replay_test
 // hot path in two regimes:
 //
 //   - local: same-runtime delivery (mailbox → dispatch) of protocol
-//     heartbeats at saturation, millions of messages per second. This
-//     isolates the hot-path handoff cost — one struct copy into the
-//     writer queue — and shows the recorder's load-shedding behaviour:
-//     the single writer goroutine codec-encodes out of band and drops
-//     (counted, surfaced in meta.json and live_replay_dropped_total)
-//     once its queue fills, rather than ever stalling delivery.
+//     heartbeats at saturation, millions of messages per second. The
+//     recorder encodes, frames and buffers every delivery on the node
+//     loop that dispatches it, so this isolates the per-event cost of
+//     recording: the recorder's mutex, the codec encode, the CRC and,
+//     once per 64 KiB, a file write.
 //
 //   - tcp: the deployed hot path — two runtimes joined over loopback
 //     TCP, a windowed request/echo stream through the real wire codec.
@@ -63,7 +62,7 @@ func newBenchRecorder(b *testing.B, rt *live.Runtime) *replay.Recorder {
 	if err != nil {
 		b.Fatal(err)
 	}
-	rt.SetRecorder(rec, 0)
+	rt.SetRecorder(rec, nil)
 	return rec
 }
 
@@ -75,7 +74,7 @@ func closeBenchRecorder(b *testing.B, rt *live.Runtime, rec *replay.Recorder, la
 	if events == 0 {
 		b.Fatalf("%s: recorder saw no events", label)
 	}
-	rt.SetRecorder(nil, 0)
+	rt.SetRecorder(nil, nil)
 	if err := rec.Close(); err != nil {
 		b.Fatal(err)
 	}
@@ -112,7 +111,7 @@ func benchLocal(b *testing.B, recording bool) {
 }
 
 // echoWindow bounds in-flight requests on the tcp benchmark; far below
-// both the mailbox depth and the recorder queue, so nothing sheds.
+// the mailbox depth, so no mailbox drops.
 const echoWindow = 64
 
 // pumpActor drives the tcp benchmark from inside node 0's loop: it

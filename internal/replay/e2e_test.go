@@ -11,11 +11,14 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro"
 	"repro/internal/replay"
+	"repro/internal/rng"
 	"repro/internal/sim"
 )
 
@@ -243,4 +246,121 @@ func TestReplayWrongConfigDiverges(t *testing.T) {
 		t.Fatalf("divergence lacks a location: %+v", res.Diverged)
 	}
 	t.Logf("divergence (expected): %s", res.Diverged)
+}
+
+// stopRecordRuns numbers the runs of TestReplayStopRecordMidRun, so each
+// of a -count=N batch draws its own cut instants from a fixed seed.
+var stopRecordRuns atomic.Uint64
+
+// TestReplayStopRecordMidRun is the recording-cut property: recording
+// stops at a random instant while two TCP-joined runtimes exchange
+// heartbeats, profiles, backup syncs and a steady stream of
+// submissions, and both logs (and the traces taken at the cut) still
+// replay without divergence. A cut that kept a handler's input but lost
+// its later sends would replay as an extra send. Run it repeatedly to
+// search for such a cut:
+//
+//	go test -race -count=50 -run TestReplayStopRecordMidRun ./internal/replay/
+func TestReplayStopRecordMidRun(t *testing.T) {
+	seed := 29 + stopRecordRuns.Add(1)
+	r := rng.New(seed)
+	// Fast periods keep the node loops busy, so a cut often lands while
+	// a handler runs; the long miss budget keeps a loaded -race run from
+	// suspecting the RM, which is not what this test is about.
+	cfg := chaosConfig()
+	cfg.HeartbeatPeriod = 5 * sim.Millisecond
+	cfg.HeartbeatMisses = 40
+	cfg.ProfilePeriod = 5 * sim.Millisecond
+	cfg.BackupSyncPeriod = 10 * sim.Millisecond
+	dirA := filepath.Join(t.TempDir(), "a")
+	dirB := filepath.Join(t.TempDir(), "b")
+
+	mk := func() p2prm.PeerInfo {
+		return p2prm.PeerInfo{SpeedWU: 50, BandwidthKbps: 10000, UptimeSec: 7200}
+	}
+	lA, err := p2prm.NewLive(cfg, p2prm.LiveOptions{
+		Seed: 70, Listen: "127.0.0.1:0", Transport: fastTransport(), RecordDir: dirA,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lA.Close()
+	lB, err := p2prm.NewLive(cfg, p2prm.LiveOptions{
+		Seed: 71, Listen: "127.0.0.1:0", Transport: fastTransport(), RecordDir: dirB,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lB.Close()
+
+	// The RM lives on runtime A; six members live on runtime B.
+	const members = 6
+	for id := p2prm.NodeID(1); id <= members; id++ {
+		lA.Register(id, lB.ListenAddr())
+	}
+	lB.Register(0, lA.ListenAddr())
+	lA.StartPeerWithID(0, mk(), p2prm.NoNode)
+	for id := p2prm.NodeID(1); id <= members; id++ {
+		lB.StartPeerWithID(id, mk(), 0)
+	}
+	waitFor(t, 10*time.Second, func() bool {
+		for id := p2prm.NodeID(1); id <= members; id++ {
+			if !lB.Joined(id) {
+				return false
+			}
+		}
+		return lA.Joined(0)
+	})
+
+	// Submissions keep session traffic and trace events flowing across
+	// both cuts; the RM rejects each (no peer hosts the object).
+	stop := make(chan struct{})
+	submitted := make(chan struct{})
+	go func() {
+		defer close(submitted)
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			case <-time.After(time.Millisecond):
+			}
+			origin := p2prm.NodeID(1 + i%members)
+			lB.Submit(origin, stdReplaySpec(origin))
+		}
+	}()
+	stopSubmits := sync.OnceFunc(func() { close(stop); <-submitted })
+	defer stopSubmits()
+
+	// Each runtime stops recording at its own instant in the next 300 ms.
+	cutA := time.Duration(r.Intn(300)) * time.Millisecond
+	cutB := time.Duration(r.Intn(300)) * time.Millisecond
+	t.Logf("seed %d: cut A at +%v, cut B at +%v", seed, cutA, cutB)
+	stopped := make(chan error, 2)
+	for _, c := range []struct {
+		l   *p2prm.Live
+		cut time.Duration
+	}{{lA, cutA}, {lB, cutB}} {
+		time.AfterFunc(c.cut, func() { stopped <- c.l.StopRecord() })
+	}
+	for i := 0; i < 2; i++ {
+		if err := <-stopped; err != nil {
+			t.Fatalf("StopRecord: %v", err)
+		}
+	}
+	stopSubmits()
+	if lA.RecordStatus().Recording || lB.RecordStatus().Recording {
+		t.Fatal("still recording after StopRecord")
+	}
+
+	resA := replayedClean(t, cfg, dirA, "runtime A")
+	resB := replayedClean(t, cfg, dirB, "runtime B")
+	t.Logf("replayed %d/%d events, %d/%d sends", resA.Events, resB.Events, resA.Sends, resB.Sends)
+	if resA.Nodes != 1 || resB.Nodes != members {
+		t.Fatalf("replayed nodes = %d/%d, want 1/%d", resA.Nodes, resB.Nodes, members)
+	}
+	for _, dir := range []string{dirA, dirB} {
+		if meta, err := replay.ReadMeta(dir); err != nil || meta.Dropped != 0 {
+			t.Fatalf("%s: meta %+v, err %v: want no dropped events", dir, meta, err)
+		}
+	}
 }

@@ -21,8 +21,8 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"math"
 	"os"
+	"slices"
 
 	"repro/internal/env"
 	"repro/internal/proto"
@@ -152,14 +152,12 @@ const TraceFile = "trace.jsonl"
 // ReplayTraceFile is where the replayer writes the re-executed trace.
 const ReplayTraceFile = "replay_trace.jsonl"
 
-// marshalEvent encodes e into buf (reused across calls) and returns the
-// payload bytes.
-func marshalEvent(e *Event, buf []byte) []byte {
-	n := 1 + 5*8 + 2 + len(e.Name) + 4 + len(e.Data)
-	if cap(buf) < n {
-		buf = make([]byte, 0, n+64)
-	}
-	b := buf[:0]
+// appendFrame appends e to buf as one frame: [u32 length][u32 CRC-32 of
+// the payload][payload], the payload encoding e's header, name and data.
+func appendFrame(buf []byte, e *Event) ([]byte, error) {
+	start := len(buf)
+	b := slices.Grow(buf, 8+1+5*8+2+len(e.Name)+4+len(e.Data))
+	b = append(b, 0, 0, 0, 0, 0, 0, 0, 0) // header, filled in below
 	b = append(b, byte(e.Kind))
 	b = binary.LittleEndian.AppendUint64(b, uint64(e.Node))
 	b = binary.LittleEndian.AppendUint64(b, uint64(e.Peer))
@@ -170,10 +168,16 @@ func marshalEvent(e *Event, buf []byte) []byte {
 	b = append(b, e.Name...)
 	b = binary.LittleEndian.AppendUint32(b, uint32(len(e.Data)))
 	b = append(b, e.Data...)
-	return b
+	payload := b[start+8:]
+	if len(payload) > maxEventFrame {
+		return buf, fmt.Errorf("replay: event frame %d bytes exceeds limit %d", len(payload), maxEventFrame)
+	}
+	binary.LittleEndian.PutUint32(b[start:], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(b[start+4:], crc32.ChecksumIEEE(payload))
+	return b, nil
 }
 
-// unmarshalEvent decodes one payload produced by marshalEvent.
+// unmarshalEvent decodes one frame payload produced by appendFrame.
 func unmarshalEvent(b []byte) (Event, error) {
 	var e Event
 	if len(b) < 1+5*8+2+4 {
@@ -292,22 +296,4 @@ func ReadLogFile(path string) (*Log, error) {
 // ReadLogDir parses the event log inside a recording directory.
 func ReadLogDir(dir string) (*Log, error) {
 	return ReadLogFile(dir + "/" + EventsFile)
-}
-
-// writeFrame appends one CRC frame for payload to w.
-func writeFrame(w io.Writer, payload []byte) error {
-	var header [8]byte
-	if len(payload) > maxEventFrame {
-		return fmt.Errorf("replay: event frame %d bytes exceeds limit %d", len(payload), maxEventFrame)
-	}
-	if len(payload) > math.MaxUint32 {
-		return fmt.Errorf("replay: event frame %d bytes overflows length field", len(payload))
-	}
-	binary.LittleEndian.PutUint32(header[0:], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(header[4:], crc32.ChecksumIEEE(payload))
-	if _, err := w.Write(header[:]); err != nil {
-		return err
-	}
-	_, err := w.Write(payload)
-	return err
 }

@@ -6,9 +6,8 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sync"
-	"sync/atomic"
-	"time"
 
 	"repro/internal/env"
 	"repro/internal/proto"
@@ -16,21 +15,21 @@ import (
 
 // MessageType names a message's concrete Go type. Sends are logged and
 // compared by (destination, type name) only: that is enough to place a
-// divergence, keeps send events small, and spares the writer an encode
-// per send; payload-level drift surfaces at the next digest checkpoint.
+// divergence, keeps send events small, and spares the recorder an
+// encode per send; payload-level drift surfaces at the next digest
+// checkpoint.
 func MessageType(m env.Message) string { return fmt.Sprintf("%T", m) }
-
-// recorderQueueDepth bounds the in-flight event buffer between the node
-// loops and the single writer goroutine. When the writer cannot keep up
-// the recorder drops events (counted, surfaced in Meta and metrics)
-// rather than stall the message hot path.
-const recorderQueueDepth = 8192
 
 // Meta is the recording metadata written alongside the event log.
 type Meta struct {
-	Format  string `json:"format"`
-	Events  uint64 `json:"events"`
-	Bytes   uint64 `json:"bytes"`
+	Format string `json:"format"`
+	Events uint64 `json:"events"`
+	Bytes  uint64 `json:"bytes"`
+	// Dropped counts events that reached the recorder after Close, such
+	// as a late RecordFault from outside the recording cut. An open
+	// recorder writes every event, so a clean recording has zero.
+	// Recordings made before writes were synchronous also counted here
+	// the events their writer queue shed on overflow.
 	Dropped uint64 `json:"dropped"`
 	// TraceSeed is the seed the recorded run's tracer derived span IDs
 	// from (trace.DeriveSpanID); the replayer seeds its tracer with the
@@ -57,38 +56,31 @@ func ReadMeta(dir string) (Meta, error) {
 
 // Recorder streams events to <dir>/events.bin. It implements the live
 // runtime's Recorder interface structurally. Record* methods are safe
-// for concurrent use and never block: the hot path only copies the
-// event header and the message reference into a bounded channel; all
-// encoding (codec payloads, type names, framing, CRC) happens on the
-// single writer goroutine. Overflow increments Dropped instead of
-// stalling callers.
-//
-// Handing messages over by reference is safe because messages are
-// immutable once sent — the same invariant the runtimes already rely
-// on: netsim and deliverLocal hand the identical value to the receiver
-// while the sender may retain it, so no actor may mutate a message
-// after sending or after receiving it.
+// for concurrent use and write synchronously: before it returns, each
+// call encodes its event (codec payload, type name, framing, CRC) into
+// a 64 KiB buffered writer under mu, so the recorder keeps no reference
+// to a message. An open recorder therefore never drops an event; the
+// cost is a mutex and, once per buffer, a file write on the node loop
+// that records.
 type Recorder struct {
 	dir string
+	f   *os.File
 
-	ch   chan pending
-	done chan struct{}
-
-	events    atomic.Uint64
-	bytes     atomic.Uint64
-	dropped   atomic.Uint64
-	traceSeed atomic.Uint64
-
-	mu     sync.Mutex
-	closed bool
-	werr   error // first writer error, surfaced from Close
-
-	f  *os.File
-	bw *bufio.Writer
+	mu        sync.Mutex
+	closed    bool                    // guarded by mu
+	werr      error                   // first write error, surfaced from Close; guarded by mu
+	events    uint64                  // guarded by mu
+	bytes     uint64                  // guarded by mu
+	dropped   uint64                  // events after Close; guarded by mu
+	traceSeed uint64                  // guarded by mu
+	bw        *bufio.Writer           // guarded by mu
+	frame     []byte                  // guarded by mu
+	payload   []byte                  // guarded by mu
+	names     map[reflect.Type]string // MessageType per type, rendered once; guarded by mu
 }
 
-// NewRecorder opens a recording directory (created if needed) and starts
-// the writer goroutine. The caller must Close to flush the final frame.
+// NewRecorder opens a recording directory (created if needed). The
+// caller must Close to flush the final frames.
 func NewRecorder(dir string) (*Recorder, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
@@ -102,15 +94,7 @@ func NewRecorder(dir string) (*Recorder, error) {
 		f.Close()
 		return nil, err
 	}
-	r := &Recorder{
-		dir:  dir,
-		ch:   make(chan pending, recorderQueueDepth),
-		done: make(chan struct{}),
-		f:    f,
-		bw:   bw,
-	}
-	go r.writeLoop()
-	return r, nil
+	return &Recorder{dir: dir, f: f, bw: bw, names: make(map[reflect.Type]string)}, nil
 }
 
 // Dir returns the recording directory.
@@ -118,90 +102,65 @@ func (r *Recorder) Dir() string { return r.dir }
 
 // SetTraceSeed records the tracer seed of the run being recorded; it is
 // written into meta.json at Close for the replayer to adopt.
-func (r *Recorder) SetTraceSeed(seed uint64) { r.traceSeed.Store(seed) }
+func (r *Recorder) SetTraceSeed(seed uint64) {
+	r.mu.Lock()
+	r.traceSeed = seed
+	r.mu.Unlock()
+}
 
-// Counters returns (events enqueued, payload bytes written, events
-// dropped) so far. Safe to call concurrently with recording; the byte
-// count trails the event count by whatever the writer has queued.
+// Counters returns (events recorded, bytes written, events dropped) so
+// far. Dropped counts only events that arrived after Close. Safe to
+// call concurrently with recording.
 func (r *Recorder) Counters() (events, bytes, dropped uint64) {
-	return r.events.Load(), r.bytes.Load(), r.dropped.Load()
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.events, r.bytes, r.dropped
 }
 
-// pending is one hot-path handoff to the writer goroutine: the event
-// header plus the message reference (deliveries and sends) whose
-// expensive encoding the writer performs out of band.
-type pending struct {
-	e    Event
-	m    env.Message
-	stop bool
-}
-
-// writerPoll is how long the writer sleeps when its queue runs dry.
-// Sleep-polling instead of blocking on the channel keeps the hot path
-// free of goroutine wakeups: an emit into an empty queue would
-// otherwise unpark the writer on the delivering node's loop, costing
-// about a microsecond per recorded event at low rates. The queue
-// absorbs pollInterval × message-rate events while the writer sleeps,
-// far under recorderQueueDepth at any rate the writer can sustain.
-const writerPoll = 100 * time.Microsecond
-
-// writeLoop is the single writer goroutine; it owns all payload
-// encoding and framing. The channel is never closed — Close enqueues a
-// stop sentinel instead, so concurrent emit calls can never hit a
-// closed channel; a late emit either lands after the sentinel (ignored)
-// or takes the drop path once the queue fills.
-func (r *Recorder) writeLoop() {
-	defer close(r.done)
-	var frame, payload []byte
-	for {
-		var p pending
-		select {
-		case p = <-r.ch:
-		default:
-			time.Sleep(writerPoll)
-			continue
+// emit encodes, frames and buffers one event. m, when non-nil, names
+// the event (sends and deliveries); a delivery also carries m as a
+// standalone internal/proto codec blob, decodable on its own. A payload
+// outside the codec's message set degrades to a typed marker so replay
+// reports the gap instead of silently skipping it.
+func (r *Recorder) emit(e Event, m env.Message) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.closed {
+		r.dropped++
+		return
+	}
+	r.events++
+	if r.werr != nil {
+		return // error already latched; Close reports it
+	}
+	if m != nil {
+		t := reflect.TypeOf(m)
+		name, ok := r.names[t]
+		if !ok {
+			name = MessageType(m)
+			r.names[t] = name
 		}
-		if p.stop {
-			return
-		}
-		if r.werr != nil {
-			continue // drain; error already latched
-		}
-		e := &p.e
-		if p.m != nil {
-			e.Name = MessageType(p.m)
-			if e.Kind == KDeliver {
-				// Each payload is a standalone internal/proto codec blob,
-				// decodable on its own. A payload outside the codec's
-				// message set degrades to a typed marker so replay reports
-				// the gap instead of silently skipping it.
-				if b, ok := proto.AppendMessage(payload[:0], p.m); ok {
-					payload = b
-					e.Aux = auxCodec
-					e.Data = b
-				} else {
-					e.Aux = auxUnencodable
-				}
+		e.Name = name
+		if e.Kind == KDeliver {
+			if b, ok := proto.AppendMessage(r.payload[:0], m); ok {
+				r.payload = b
+				e.Aux = auxCodec
+				e.Data = b
+			} else {
+				e.Aux = auxUnencodable
 			}
 		}
-		frame = marshalEvent(e, frame)
-		if err := writeFrame(r.bw, frame); err != nil {
-			r.werr = err
-		}
-		r.bytes.Add(uint64(8 + len(frame)))
 	}
-}
-
-// emit enqueues one event for the writer. This is the entire hot-path
-// cost of recording: a struct copy into the channel buffer and one
-// atomic increment.
-func (r *Recorder) emit(e Event, m env.Message) {
-	select {
-	case r.ch <- pending{e: e, m: m}:
-		r.events.Add(1)
-	default:
-		r.dropped.Add(1)
+	frame, err := appendFrame(r.frame[:0], &e)
+	r.frame = frame
+	if err == nil {
+		_, err = r.bw.Write(frame)
 	}
+	if err != nil {
+		r.werr = err
+		return
+	}
+	r.bytes += uint64(len(frame))
 }
 
 // RecordStart implements live.Recorder.
@@ -209,8 +168,7 @@ func (r *Recorder) RecordStart(node env.NodeID, nowMicros int64, seed uint64, in
 	r.emit(Event{Kind: KStart, Node: int64(node), Time: nowMicros, Aux: seed, Data: init}, nil)
 }
 
-// RecordDeliver implements live.Recorder. The message is handed to the
-// writer by reference (immutable once sent); the writer encodes it with
+// RecordDeliver implements live.Recorder. The message is encoded with
 // the internal/proto codec.
 func (r *Recorder) RecordDeliver(node, from env.NodeID, nowMicros int64, m env.Message) {
 	r.emit(Event{Kind: KDeliver, Node: int64(node), Peer: int64(from), Time: nowMicros}, m)
@@ -267,20 +225,16 @@ func (r *Recorder) RecordDigest(node env.NodeID, nowMicros int64, digest uint64)
 	r.emit(Event{Kind: KDigest, Node: int64(node), Time: nowMicros, Aux: digest}, nil)
 }
 
-// Close drains the queue, flushes and fsyncs the log, and writes
-// meta.json. Detach the recorder from the runtime (SetRecorder(nil))
-// before closing; Record* calls after Close are dropped, not a panic.
+// Close flushes and fsyncs the log and writes meta.json. Detach the
+// recorder from the runtime (SetRecorder(nil, nil)) before closing; Record*
+// calls after Close are counted as dropped, never written or a panic.
 func (r *Recorder) Close() error {
 	r.mu.Lock()
+	defer r.mu.Unlock()
 	if r.closed {
-		r.mu.Unlock()
 		return nil
 	}
 	r.closed = true
-	r.mu.Unlock()
-
-	r.ch <- pending{stop: true} // sentinel; writer drains everything queued before it
-	<-r.done
 
 	err := r.werr
 	if ferr := r.bw.Flush(); err == nil {
@@ -295,10 +249,10 @@ func (r *Recorder) Close() error {
 
 	meta := Meta{
 		Format:    logMagic,
-		Events:    r.events.Load(),
-		Bytes:     r.bytes.Load(),
-		Dropped:   r.dropped.Load(),
-		TraceSeed: r.traceSeed.Load(),
+		Events:    r.events,
+		Bytes:     r.bytes,
+		Dropped:   r.dropped,
+		TraceSeed: r.traceSeed,
 	}
 	mb, merr := json.MarshalIndent(meta, "", "  ")
 	if merr == nil {

@@ -448,9 +448,11 @@ func (t *Tracer) WriteJSONL(w io.Writer) error {
 	if t == nil {
 		return nil
 	}
-	t.mu.Lock()
-	events := append([]Event(nil), t.events...)
-	t.mu.Unlock()
+	return writeEvents(w, t.Snapshot())
+}
+
+// writeEvents writes events (a Snapshot) as WriteJSONL does.
+func writeEvents(w io.Writer, events []Event) error {
 	bw := bufio.NewWriter(w)
 	enc := json.NewEncoder(bw)
 	for _, e := range events {
@@ -485,11 +487,16 @@ func (t *Tracer) WriteFile(path string) error {
 	if t == nil {
 		return nil
 	}
+	return WriteEventsFile(path, t.Snapshot())
+}
+
+// WriteEventsFile writes events (a Snapshot) to path as WriteFile does.
+func WriteEventsFile(path string, events []Event) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	if err := t.WriteJSONL(f); err != nil {
+	if err := writeEvents(f, events); err != nil {
 		f.Close()
 		return err
 	}

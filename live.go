@@ -144,7 +144,7 @@ func NewLive(cfg Config, opts LiveOptions) (*Live, error) {
 	l.recBytes = reg.Counter("live_replay_bytes_total",
 		"flight-recorder bytes written to the log", nil)
 	l.recDropped = reg.Counter("live_replay_dropped_total",
-		"flight-recorder events dropped under writer back-pressure", nil)
+		"flight-recorder events that arrived after the recorder closed", nil)
 	l.trBegun = reg.Gauge("trace_sessions_begun",
 		"session spans begun on this node's tracer", nil)
 	l.trOpen = reg.Gauge("trace_sessions_open",
@@ -242,7 +242,7 @@ func (l *Live) Record(dir string) error {
 	l.rec = rec
 	l.lastEv, l.lastBytes, l.lastDrop = 0, 0, 0
 	l.recStop = make(chan struct{})
-	l.rt.SetRecorder(rec, 0)
+	l.rt.SetRecorder(rec, nil)
 	l.recGauge.Set(1)
 	go l.recordMetricsLoop(l.recStop)
 	return nil
@@ -257,7 +257,10 @@ func (l *Live) StopRecord() error {
 	if l.rec == nil {
 		return nil
 	}
-	l.rt.SetRecorder(nil, 0)
+	// The trace is taken at the cut, so it holds exactly the events of
+	// the handlers the log holds, even when recording stops mid-run.
+	var cut []trace.Event
+	l.rt.SetRecorder(nil, func() { cut = l.tracer.Snapshot() })
 	close(l.recStop)
 	dir := l.rec.Dir()
 	err := l.rec.Close()
@@ -265,7 +268,7 @@ func (l *Live) StopRecord() error {
 	l.rec = nil
 	l.recGauge.Set(0)
 	if l.tracer != nil {
-		if terr := l.tracer.WriteFile(filepath.Join(dir, replay.TraceFile)); terr != nil && err == nil {
+		if terr := trace.WriteEventsFile(filepath.Join(dir, replay.TraceFile), cut); terr != nil && err == nil {
 			err = terr
 		}
 	}
@@ -286,11 +289,6 @@ func (l *Live) RecordStatus() live.RecordStatus {
 	}
 	return st
 }
-
-// StartRecording and StopRecording adapt Record/StopRecord to the
-// live.RecordControl interface driven by the /record endpoint.
-func (l *Live) StartRecording(dir string) error { return l.Record(dir) }
-func (l *Live) StopRecording() error            { return l.StopRecord() }
 
 // syncRecordMetricsLocked folds the recorder's cumulative counters into
 // the live_replay_* metrics as deltas. Callers hold recMu.
