@@ -112,19 +112,6 @@ func (d *Driver) Run(start, end sim.Time) {
 	}
 }
 
-// RunBurst schedules a dense burst of extra requests in [start, start+width),
-// modeling the §4.5 load-spike scenario.
-func (d *Driver) RunBurst(start, width sim.Time, count int) {
-	ids := d.C.IDs()
-	for i := 0; i < count; i++ {
-		at := start + sim.Time(d.R.Float64()*float64(width))
-		origin := ids[d.R.Intn(len(ids))]
-		spec := d.Spec()
-		spec.Origin = origin
-		d.C.Submit(at, origin, spec)
-	}
-}
-
 // Churn schedules crash and (re)join events: over [start, end), each
 // event at rate eventsPerSec either crashes a random live non-founder
 // node (probability crashFrac) or gracefully stops one.

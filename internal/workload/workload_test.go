@@ -112,13 +112,3 @@ func TestJoinsAddNodes(t *testing.T) {
 		t.Fatalf("joined = %d, newcomers never joined", joined)
 	}
 }
-
-func TestBurst(t *testing.T) {
-	c := testCluster(t, 12)
-	d := NewDriver(c, cluster.StandardCatalog(), DefaultMix(), rng.New(13))
-	d.RunBurst(c.Eng.Now(), 5*sim.Second, 30)
-	c.RunUntil(c.Eng.Now() + 30*sim.Second)
-	if ev := c.Events.Snapshot(); ev.Submitted != 30 {
-		t.Fatalf("submitted = %d, want 30", ev.Submitted)
-	}
-}
