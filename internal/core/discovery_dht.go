@@ -72,7 +72,7 @@ func (d *dhtDiscovery) HandleMessage(from env.NodeID, m env.Message) bool {
 // a failover round-trip) just refreshes in place.
 func (d *dhtDiscovery) StartRM() {
 	if d.rmOn {
-		d.refreshCatalog()
+		d.advertise(true)
 		return
 	}
 	d.rmOn = true
@@ -80,20 +80,25 @@ func (d *dhtDiscovery) StartRM() {
 	if period <= 0 {
 		period = dht.DefaultRepublishPeriod
 	}
-	d.cancels = append(d.cancels, env.Every(d.p.ctx, period, period, d.refreshCatalog))
-	d.refreshCatalog()
+	d.cancels = append(d.cancels, env.Every(d.p.ctx, period, period, func() { d.advertise(true) }))
+	d.advertise(true)
 }
 
+// CatalogChanged re-advertises only what changed: the keys new to the
+// advertisement set, and the directory record, whose NumPeers may have
+// moved. The periodic round refreshes the other records' load figures.
 func (d *dhtDiscovery) CatalogChanged() {
 	if d.rmOn && d.p.rm != nil {
-		d.refreshCatalog()
+		d.advertise(false)
 	}
 }
 
-// refreshCatalog recomputes the advertisement set from the live domain
-// view, (re)publishes every record with current load figures, withdraws
-// entries that left the catalog, and refreshes the directory cache.
-func (d *dhtDiscovery) refreshCatalog() {
+// advertise recomputes the advertisement set from the live domain view,
+// publishes the directory record and either every other record with
+// current load figures (all, the periodic round) or only the keys new to
+// the set, withdraws entries that left the catalog, and refreshes the
+// directory cache.
+func (d *dhtDiscovery) advertise(all bool) {
 	p := d.p
 	st := p.rm
 	if st == nil {
@@ -112,10 +117,14 @@ func (d *dhtDiscovery) refreshCatalog() {
 	publish := func(key proto.DHTKey) {
 		if !want[key] {
 			want[key] = true
-			d.node.Publish(key, rec)
+			if all || !d.pub[key] {
+				d.node.Publish(key, rec)
+			}
 		}
 	}
-	publish(dht.Key(dirKind, dirName))
+	dirKey := dht.Key(dirKind, dirName)
+	want[dirKey] = true
+	d.node.Publish(dirKey, rec)
 	for _, rec := range st.peers {
 		info := rec.info
 		for _, o := range info.Objects {

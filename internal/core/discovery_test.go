@@ -86,6 +86,11 @@ func TestInterDomainRedirectDHT(t *testing.T) {
 		if d.TableSize == 0 || d.StoreRecords == 0 {
 			t.Fatalf("RM n%d has empty DHT state: %+v", id, d)
 		}
+		// A minute of republish rounds and refresh ticks on a settled
+		// table: the diagnostics show the walks the upkeep skipped.
+		if d.DHT.WalksSaved == 0 || d.DHT.RefreshesSkipped == 0 {
+			t.Fatalf("RM n%d diag shows no skipped upkeep: %+v", id, d.DHT)
+		}
 	}
 }
 

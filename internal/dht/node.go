@@ -1,6 +1,7 @@
 package dht
 
 import (
+	"slices"
 	"sort"
 
 	"repro/internal/env"
@@ -17,10 +18,11 @@ type Config struct {
 	// ProviderTTL expires stored provider records; publishers must
 	// republish faster than this or their records vanish under them.
 	ProviderTTL sim.Time
-	// RepublishPeriod re-stores every locally published record.
+	// RepublishPeriod is the publishers' re-Publish cadence. The node
+	// itself keeps no republish timer; its owner calls Publish again.
 	RepublishPeriod sim.Time
-	// RefreshPeriod walks a random key to keep the routing table fresh
-	// and sweeps expired provider records.
+	// RefreshPeriod sweeps expired provider records and draws a random
+	// key, walking it when its bucket went untouched for a whole period.
 	RefreshPeriod sim.Time
 	// RPCTimeout bounds one request/response exchange; a contact that
 	// misses it is removed from the routing table.
@@ -68,6 +70,12 @@ type Stats struct {
 	RPCTimeouts uint64
 	StoresSent  uint64
 	Expired     uint64
+	// WalksSaved counts Publish calls that stored straight to the
+	// holders of the key's last walk instead of walking again.
+	WalksSaved uint64
+	// RefreshesSkipped counts refresh ticks whose random key fell in a
+	// bucket that a lookup or a contact had touched within the period.
+	RefreshesSkipped uint64
 }
 
 // Node is one DHT participant. It is actor-confined: every method must
@@ -79,7 +87,7 @@ type Node struct {
 	table *Table
 	store *Store
 
-	published map[proto.DHTKey]proto.DHTProvider
+	published map[proto.DHTKey]*publication
 	nextRPC   uint64
 	calls     map[uint64]*pendingCall
 	// pendingPing maps an eviction candidate under liveness probe to the
@@ -93,6 +101,16 @@ type Node struct {
 	// OnLookupDone, when set, observes every finished provider lookup:
 	// whether any record was found and the elapsed virtual/wall time.
 	OnLookupDone func(hit bool, elapsed sim.Time)
+}
+
+// publication is one key this node publishes, with the K-closest set
+// its last walk returned.
+type publication struct {
+	val     proto.DHTProvider
+	holders []env.NodeID // in distance order to the key
+	walked  sim.Time     // when that walk finished
+	gen     uint64       // the table's generation then
+	walking bool
 }
 
 // pendingCall is one outstanding RPC.
@@ -111,7 +129,7 @@ func NewNode(ctx env.Context, cfg Config) *Node {
 		cfg:         cfg,
 		table:       NewTable(ctx.Self(), cfg.K),
 		store:       NewStore(),
-		published:   make(map[proto.DHTKey]proto.DHTProvider),
+		published:   make(map[proto.DHTKey]*publication),
 		calls:       make(map[uint64]*pendingCall),
 		pendingPing: make(map[env.NodeID]env.NodeID),
 	}
@@ -126,7 +144,7 @@ func (n *Node) StoreDiag() *Store { return n.store }
 // Stats returns a copy of the activity counters.
 func (n *Node) Stats() Stats { return n.stats }
 
-// Published returns how many records this node republishes.
+// Published returns how many keys this node publishes.
 func (n *Node) Published() int { return len(n.published) }
 
 // Seed adds bootstrap contacts and, when any stick, walks toward the
@@ -145,20 +163,27 @@ func (n *Node) Seed(ids ...env.NodeID) {
 	}
 }
 
-// Start arms the periodic maintenance work: bucket refresh walks and
-// provider-record expiry. Call once, on the owning actor's loop.
+// Start arms the periodic maintenance work: provider-record expiry and
+// bucket refresh. Call once, on the owning actor's loop.
 func (n *Node) Start() {
-	n.cancels = append(n.cancels, env.Every(n.ctx, n.cfg.RefreshPeriod, n.cfg.RefreshPeriod, func() {
-		n.stats.Expired += uint64(n.store.Expire(n.ctx.Now()))
-		n.lookup(expand(n.ctx.Rand().Uint64()), false, proto.TraceContext{}, nil)
-	}))
+	n.cancels = append(n.cancels, env.Every(n.ctx, n.cfg.RefreshPeriod, n.cfg.RefreshPeriod, n.refresh))
 }
 
-// StartPublisher arms the republish loop (RM role only).
-func (n *Node) StartPublisher() {
-	n.cancels = append(n.cancels, env.Every(n.ctx, n.cfg.RepublishPeriod, n.cfg.RepublishPeriod, func() {
-		n.republish()
-	}))
+// refresh sweeps expired records and walks a random key, unless a lookup
+// or a contact touched that key's bucket since the previous tick, one
+// RefreshPeriod ago (Kademlia §2.5). The key is drawn either way, so the
+// node's random stream does not depend on which buckets are fresh. The
+// walk's own touch opens the next period.
+func (n *Node) refresh() {
+	n.stats.Expired += uint64(n.store.Expire(n.ctx.Now()))
+	key := expand(n.ctx.Rand().Uint64())
+	stale := n.table.stale(key)
+	n.table.untouch()
+	if !stale {
+		n.stats.RefreshesSkipped++
+		return
+	}
+	n.lookup(key, false, proto.TraceContext{}, nil)
 }
 
 // Stop cancels timers and outstanding RPC timeouts. The node must not
@@ -216,14 +241,62 @@ func (n *Node) HandleMessage(from env.NodeID, m env.Message) bool {
 	return true
 }
 
-// Publish records a provider under key and pushes it to the K closest
-// nodes; the republish loop refreshes it until Unpublish.
+// Publish stores a provider under key locally and at the K closest
+// nodes. The owner calls it again every RepublishPeriod to keep the
+// record alive, until Unpublish. A call stores straight to the holders
+// the key's last walk found while that set is still current (see
+// current); otherwise it walks again first. While a walk is in flight,
+// a call only updates the value that walk will store.
 func (n *Node) Publish(key proto.DHTKey, v proto.DHTProvider) {
-	n.published[key] = v
-	n.storeAt(key, v)
+	n.store.Put(key, v, n.ctx.Now(), n.cfg.ProviderTTL)
+	p := n.published[key]
+	if p == nil {
+		p = &publication{}
+		n.published[key] = p
+	}
+	p.val = v
+	switch {
+	case p.walking:
+		// The walk stores p.val when it lands.
+	case n.current(key, p):
+		n.stats.WalksSaved++
+		n.storeTo(key, v, p.holders)
+	default:
+		p.walking = true
+		n.lookup(key, false, proto.TraceContext{}, func(ids []env.NodeID, _ []proto.DHTProvider) {
+			p.walking = false
+			p.holders, p.walked, p.gen = ids, n.ctx.Now(), n.table.gen
+			if n.published[key] == p {
+				n.storeTo(key, p.val, ids)
+			}
+		})
+	}
 }
 
-// Unpublish stops republishing key. Already-stored copies age out via
+// current reports whether the holders of p's last walk are still the K
+// closest nodes to key as far as this node can tell: the walk is younger
+// than ProviderTTL, the routing table has had no insert or remove since
+// (a holder removed by RPC timeout is a remove), and the table knows no
+// contact closer than the farthest holder that the set lacks. The last
+// case covers a contact inserted during the walk by traffic the walk
+// never saw, such as another node's request.
+func (n *Node) current(key proto.DHTKey, p *publication) bool {
+	if len(p.holders) == 0 || n.ctx.Now()-p.walked >= n.cfg.ProviderTTL || n.table.gen != p.gen {
+		return false
+	}
+	far := NodeKey(p.holders[len(p.holders)-1])
+	for _, id := range n.table.Closest(key, n.cfg.K) {
+		if len(p.holders) == n.cfg.K && !CloserTo(key, NodeKey(id), far) {
+			break
+		}
+		if !slices.Contains(p.holders, id) {
+			return false
+		}
+	}
+	return true
+}
+
+// Unpublish stops publishing key. Already-stored copies age out via
 // the receivers' TTL — the staleness window the E-series experiment
 // measures.
 func (n *Node) Unpublish(key proto.DHTKey) {
@@ -259,28 +332,12 @@ func (n *Node) LookupNode(target proto.DHTKey, done func([]env.NodeID)) {
 	})
 }
 
-// republish re-stores every published record in key order.
-func (n *Node) republish() {
-	keys := make([]proto.DHTKey, 0, len(n.published))
-	for k := range n.published { //lint:maporder commutative — collected keys are sorted below before anything observes them
-		keys = append(keys, k)
+// storeTo hands each holder a copy of the record.
+func (n *Node) storeTo(key proto.DHTKey, v proto.DHTProvider, holders []env.NodeID) {
+	for _, id := range holders {
+		n.stats.StoresSent++
+		n.ctx.Send(id, proto.Store{Key: key, Provider: v})
 	}
-	sort.Slice(keys, func(i, j int) bool { return Less(keys[i], keys[j]) })
-	for _, k := range keys {
-		n.storeAt(k, n.published[k])
-	}
-}
-
-// storeAt walks to the K closest nodes and hands each a copy; the local
-// store takes one too, so lookups terminating here still hit.
-func (n *Node) storeAt(key proto.DHTKey, v proto.DHTProvider) {
-	n.store.Put(key, v, n.ctx.Now(), n.cfg.ProviderTTL)
-	n.lookup(key, false, proto.TraceContext{}, func(ids []env.NodeID, _ []proto.DHTProvider) {
-		for _, id := range ids {
-			n.stats.StoresSent++
-			n.ctx.Send(id, proto.Store{Key: key, Provider: v})
-		}
-	})
 }
 
 // observe feeds routing-table evidence that node is alive, running the
@@ -377,6 +434,7 @@ type lookup struct {
 }
 
 func (n *Node) lookup(target proto.DHTKey, wantValue bool, tc proto.TraceContext, done func([]env.NodeID, []proto.DHTProvider)) {
+	n.table.touchKey(target)
 	lk := &lookup{
 		n:         n,
 		target:    target,

@@ -2,6 +2,7 @@ package dht
 
 import (
 	"fmt"
+	"sort"
 	"testing"
 
 	"repro/internal/env"
@@ -12,21 +13,49 @@ import (
 )
 
 // dhtActor hosts one Node on the simulated network — the minimal actor
-// shell the core peer also wraps around the DHT.
+// shell the core peer also wraps around the DHT. Like core's RM, it
+// re-Publishes what it advertises every RepublishPeriod.
 type dhtActor struct {
 	cfg       Config
 	bootstrap []env.NodeID
-	publisher bool
 	node      *Node
+	pubs      map[proto.DHTKey]proto.DHTProvider
+}
+
+func newActor(cfg Config, bootstrap ...env.NodeID) *dhtActor {
+	return &dhtActor{cfg: cfg, bootstrap: bootstrap, pubs: make(map[proto.DHTKey]proto.DHTProvider)}
 }
 
 func (a *dhtActor) Init(ctx env.Context) {
 	a.node = NewNode(ctx, a.cfg)
 	a.node.Start()
-	if a.publisher {
-		a.node.StartPublisher()
-	}
+	period := a.cfg.withDefaults().RepublishPeriod
+	env.Every(ctx, period, period, a.republish)
 	a.node.Seed(a.bootstrap...)
+}
+
+// publish advertises v under key from now on.
+func (a *dhtActor) publish(key proto.DHTKey, v proto.DHTProvider) {
+	a.pubs[key] = v
+	a.node.Publish(key, v)
+}
+
+// unpublish withdraws key.
+func (a *dhtActor) unpublish(key proto.DHTKey) {
+	delete(a.pubs, key)
+	a.node.Unpublish(key)
+}
+
+// republish re-Publishes every advertised key in key order.
+func (a *dhtActor) republish() {
+	keys := make([]proto.DHTKey, 0, len(a.pubs))
+	for k := range a.pubs {
+		keys = append(keys, k)
+	}
+	sort.Slice(keys, func(i, j int) bool { return Less(keys[i], keys[j]) })
+	for _, k := range keys {
+		a.node.Publish(k, a.pubs[k])
+	}
 }
 
 func (a *dhtActor) Receive(from env.NodeID, m env.Message) {
@@ -50,7 +79,7 @@ func newSwarm(seed uint64, n int, netCfg netsim.Config, dhtCfg Config) *swarm {
 	net := netsim.New(eng, rng.New(seed), netCfg)
 	s := &swarm{eng: eng, net: net, actors: make([]*dhtActor, n)}
 	for i := 0; i < n; i++ {
-		a := &dhtActor{cfg: dhtCfg, publisher: true}
+		a := newActor(dhtCfg)
 		if i > 0 {
 			a.bootstrap = []env.NodeID{0}
 		}
@@ -78,7 +107,7 @@ func TestLookupConvergence(t *testing.T) {
 
 	key := Key("obj", "movie-7")
 	want := proto.DHTProvider{Domain: 3, RM: 5, NumPeers: 4, AvgUtil: 0.25}
-	s.actors[5].node.Publish(key, want)
+	s.actors[5].publish(key, want)
 	s.run(5 * sim.Second)
 
 	var got []proto.DHTProvider
@@ -117,7 +146,7 @@ func TestRepublishAndUnpublishStaleness(t *testing.T) {
 	s.run(20 * sim.Second)
 
 	key := Key("svc", "transcode")
-	s.actors[3].node.Publish(key, proto.DHTProvider{Domain: 1, RM: 3})
+	s.actors[3].publish(key, proto.DHTProvider{Domain: 1, RM: 3})
 
 	// Far past the 30s TTL: the 10s republish keeps the record alive.
 	s.run(90 * sim.Second)
@@ -131,7 +160,7 @@ func TestRepublishAndUnpublishStaleness(t *testing.T) {
 	}
 
 	// After Unpublish the stored copies age out within one TTL.
-	s.actors[3].node.Unpublish(key)
+	s.actors[3].unpublish(key)
 	s.run(DefaultProviderTTL + 10*sim.Second)
 	hit = false
 	s.actors[30].node.LookupProviders(key, proto.TraceContext{}, func(vs []proto.DHTProvider) {
@@ -159,7 +188,7 @@ func TestLookupUnderChurnAndLoss(t *testing.T) {
 		s.run(45 * sim.Second)
 
 		key := Key("obj", "survivor")
-		s.actors[9].node.Publish(key, proto.DHTProvider{Domain: 2, RM: 9})
+		s.actors[9].publish(key, proto.DHTProvider{Domain: 2, RM: 9})
 		s.run(5 * sim.Second)
 
 		// Crash 10% of the overlay (but never the publisher or prober).

@@ -72,6 +72,14 @@ type Table struct {
 	n       int
 	buckets [KeyBits][]contact // index 0 = closest half-space; front = oldest
 	scratch []ranked
+	// gen counts every insert and remove, and nothing else, so a cached
+	// lookup result can tell whether the table it was walked from still
+	// stands.
+	gen uint64
+	// touched holds one bit per bucket, set when a lookup into the
+	// bucket's range starts or a contact in it is heard from, and
+	// cleared by untouch.
+	touched [(KeyBits + 63) / 64]uint64
 }
 
 // NewTable creates a table for the given node with bucket capacity k.
@@ -84,6 +92,30 @@ func (t *Table) SelfKey() proto.DHTKey { return t.self }
 
 // Len returns the number of contacts held.
 func (t *Table) Len() int { return t.n }
+
+// touchKey marks the bucket whose range holds key as used: a lookup
+// toward key started. The owner's own key has no bucket.
+func (t *Table) touchKey(key proto.DHTKey) {
+	t.touch(BucketIndex(t.self, key))
+}
+
+func (t *Table) touch(i int) {
+	if i >= 0 {
+		t.touched[i/64] |= 1 << (i % 64)
+	}
+}
+
+// stale reports whether the bucket whose range holds key went untouched
+// since the last untouch: no lookup into it started and no contact in it
+// was heard from. Kademlia refreshes only such buckets.
+func (t *Table) stale(key proto.DHTKey) bool {
+	i := BucketIndex(t.self, key)
+	return i < 0 || t.touched[i/64]&(1<<(i%64)) == 0
+}
+
+// untouch starts a new freshness period: every bucket reads stale until
+// touched again.
+func (t *Table) untouch() { t.touched = [len(t.touched)]uint64{} }
 
 // find locates node: its bucket index (-1 for the owner's own key), its
 // position in that bucket (-1 when absent) and its key.
@@ -107,12 +139,12 @@ func (t *Table) Contains(node env.NodeID) bool {
 	return j >= 0
 }
 
-// Update records fresh evidence that node is alive. A known contact
-// moves to most-recently-seen; an unknown contact is inserted when its
-// bucket has room. When the bucket is full the unknown contact is NOT
-// inserted: Update returns the least-recently-seen occupant and
-// full=true, and the caller arbitrates by pinging it (Remove on
-// timeout, Update on ack).
+// Update records fresh evidence that node is alive, and touches its
+// bucket. A known contact moves to most-recently-seen; an unknown
+// contact is inserted when its bucket has room. When the bucket is full
+// the unknown contact is NOT inserted: Update returns the
+// least-recently-seen occupant and full=true, and the caller arbitrates
+// by pinging it (Remove on timeout, Update on ack).
 func (t *Table) Update(node env.NodeID) (evict env.NodeID, full bool) {
 	if node == t.selfID || node == env.NoNode {
 		return env.NoNode, false
@@ -121,6 +153,7 @@ func (t *Table) Update(node env.NodeID) (evict env.NodeID, full bool) {
 	if i < 0 {
 		return env.NoNode, false
 	}
+	t.touch(i)
 	b := t.buckets[i]
 	if j >= 0 {
 		c := b[j]
@@ -131,6 +164,7 @@ func (t *Table) Update(node env.NodeID) (evict env.NodeID, full bool) {
 	if len(b) < t.k {
 		t.buckets[i] = append(b, contact{id: node, key: key})
 		t.n++
+		t.gen++
 		return env.NoNode, false
 	}
 	return b[0].id, true
@@ -146,6 +180,7 @@ func (t *Table) Remove(node env.NodeID) {
 	copy(b[j:], b[j+1:])
 	t.buckets[i] = b[:len(b)-1]
 	t.n--
+	t.gen++
 }
 
 // Closest returns up to n contacts ordered by XOR distance to target
