@@ -204,6 +204,9 @@ type regressConfig struct {
 	date      string
 	dry       bool
 	verbose   bool
+	// goTest runs `go` with args and returns its standard output; nil
+	// runs the go command.
+	goTest func(args []string) ([]byte, error)
 }
 
 // runRegress runs the benchmarks, compares against the previous snapshot,
@@ -218,9 +221,15 @@ func runRegress(cfg regressConfig, out io.Writer) int {
 	}
 	args = append(args, cfg.pkg)
 	fmt.Fprintf(out, "regress: go %s\n", strings.Join(args, " "))
-	cmd := exec.Command("go", args...)
-	cmd.Stderr = os.Stderr
-	raw, err := cmd.Output()
+	goTest := cfg.goTest
+	if goTest == nil {
+		goTest = func(args []string) ([]byte, error) {
+			cmd := exec.Command("go", args...)
+			cmd.Stderr = os.Stderr
+			return cmd.Output()
+		}
+	}
+	raw, err := goTest(args)
 	if cfg.verbose {
 		os.Stdout.Write(raw)
 	}
@@ -231,7 +240,7 @@ func runRegress(cfg regressConfig, out io.Writer) int {
 
 	samples, snap, err := benchcmp.Parse(strings.NewReader(string(raw)))
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "regress: parse: %v\n", err)
+		fmt.Fprintf(os.Stderr, "regress: benchmark output: %v\n", err)
 		return 2
 	}
 	if len(samples) == 0 {

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"io"
 	"strings"
 	"sync"
 	"testing"
@@ -79,5 +80,43 @@ func TestRunCellProducesCSVRow(t *testing.T) {
 	}
 	if len(reg.Snapshot()) == 0 {
 		t.Fatal("attached registry stayed empty over a loaded run")
+	}
+}
+
+// failedThenPass is `go test -bench -count 3` output whose first run
+// failed: go test still ends it with PASS and exit status 0.
+const failedThenPass = `goos: linux
+goarch: amd64
+pkg: repro/internal/replay
+BenchmarkDeliver/tcp/recording=on-2   	  300000	      4012 ns/op	      48 B/op	       3 allocs/op
+--- FAIL: BenchmarkDeliver/tcp/recording=on-2
+    e2e_test.go:88: recorder shed 12 events
+BenchmarkDeliver/tcp/recording=on-2   	  300000	      3987 ns/op	      48 B/op	       3 allocs/op
+BenchmarkDeliver/tcp/recording=on-2   	  300000	      3990 ns/op	      48 B/op	       3 allocs/op
+PASS
+ok  	repro/internal/replay	9.120s
+`
+
+// TestRegressFailsOnFailLine: the gate fails on a --- FAIL line even when
+// go test exits 0, and passes the same output without it.
+func TestRegressFailsOnFailLine(t *testing.T) {
+	run := func(output string) int {
+		return runRegress(regressConfig{
+			bench: "Deliver/tcp", count: 3, dir: t.TempDir(), tolerance: 0.5, pkg: "./internal/replay",
+			date: "2026-01-01", dry: true,
+			goTest: func([]string) ([]byte, error) { return []byte(output), nil },
+		}, io.Discard)
+	}
+	if code := run(failedThenPass); code == 0 {
+		t.Fatal("regress passed output holding a --- FAIL line")
+	}
+	var clean []string
+	for _, line := range strings.Split(failedThenPass, "\n") {
+		if !strings.HasPrefix(line, "--- FAIL") && !strings.Contains(line, "recorder shed") {
+			clean = append(clean, line)
+		}
+	}
+	if code := run(strings.Join(clean, "\n")); code != 0 {
+		t.Fatalf("regress failed clean output with code %d", code)
 	}
 }

@@ -47,14 +47,21 @@ type Snapshot struct {
 var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+\d+\s+(.*)$`)
 
 // Parse reads `go test -bench` output: per-benchmark samples (one per
-// -count repetition) plus the goos/goarch/cpu header lines.
+// -count repetition) plus the goos/goarch/cpu header lines. Any
+// `--- FAIL` line makes it return an error naming every failure: `go
+// test` can end such output with PASS and exit status 0 when the failed
+// run was not the last of a -count batch.
 func Parse(r io.Reader) (samples map[string][]Metrics, snap Snapshot, err error) {
 	samples = make(map[string][]Metrics)
+	var failed []string
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	for sc.Scan() {
 		line := strings.TrimSpace(sc.Text())
 		switch {
+		case strings.HasPrefix(line, "--- FAIL"):
+			failed = append(failed, line)
+			continue
 		case strings.HasPrefix(line, "goos: "):
 			snap.GoOS = strings.TrimPrefix(line, "goos: ")
 			continue
@@ -90,6 +97,9 @@ func Parse(r io.Reader) (samples map[string][]Metrics, snap Snapshot, err error)
 			sample.Runs = 1
 			samples[name] = append(samples[name], sample)
 		}
+	}
+	if len(failed) > 0 {
+		return samples, snap, fmt.Errorf("%d failed: %s", len(failed), strings.Join(failed, "; "))
 	}
 	return samples, snap, sc.Err()
 }

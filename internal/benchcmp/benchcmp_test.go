@@ -92,3 +92,19 @@ func TestSnapshotRoundTripAndLatest(t *testing.T) {
 		t.Fatalf("empty dir: ok=%v err=%v", ok, err)
 	}
 }
+
+// TestParseReportsFailLines: a --- FAIL line is an error even when the
+// output ends in PASS.
+func TestParseReportsFailLines(t *testing.T) {
+	out := fixture + "--- FAIL: BenchmarkAllocationFigure3-8\n    x_test.go:9: boom\nPASS\n"
+	samples, _, err := Parse(strings.NewReader(out))
+	if err == nil || !strings.Contains(err.Error(), "--- FAIL: BenchmarkAllocationFigure3-8") {
+		t.Fatalf("Parse error = %v, want the failed benchmark named", err)
+	}
+	if len(samples["BenchmarkAllocationFigure3"]) != 3 {
+		t.Fatalf("samples lost on failure: %v", samples)
+	}
+	if _, _, err := Parse(strings.NewReader(fixture)); err != nil {
+		t.Fatalf("clean output: %v", err)
+	}
+}
