@@ -1,45 +1,42 @@
-// Command p2plint is the project's static-analysis gate: a
-// go/analysis unitchecker bundling the six repo-specific analyzers
-// (clockcheck, eventguard, lockfield, maporder, metriclabel,
-// replaysafe). It is built to be driven by the go command:
+// Command p2plint is the project's static-analysis gate. One run loads
+// the module from source once (internal/lint/srcload), runs the six
+// repo-specific analyzers (clockcheck, eventguard, lockfield, maporder,
+// metriclabel, replaysafe) over every package and the whole-program
+// lock-order check (internal/lint/lockorder) over the runtime tree, and
+// prints each finding as
 //
-//	go build -o bin/p2plint ./cmd/p2plint
-//	go vet -vettool=$(pwd)/bin/p2plint ./...
+//	file:line:col: analyzer: message
 //
-// which is what `make lint` (and therefore CI) runs. Each analyzer
-// documents its invariant and its escape hatch (//lint:allow or
-// //lint:ignore with a mandatory reason); see internal/lint and the
-// "Static analysis" section of README.md.
+// Exit status 0 when clean, 1 on findings, 2 when the module does not
+// load. `make lint` (and therefore CI) runs `p2plint`. The flags:
 //
-// Beyond the vet protocol, p2plint has two standalone modes that need
-// the whole module at once rather than one package per invocation:
+//	p2plint [-json] [root]
+//
+// -json prints the same findings as a sorted JSON array (one object
+// per finding with file/line/col/analyzer/message) for CI artifacts and
+// tooling. A lock-order cycle is reported at each of its edges with
+// that edge's acquisition path; a lock order that no longer matches the
+// committed internal/lint/lockorder/ORDER.golden is reported on the
+// golden with the changed lines.
 //
 //	p2plint -lockorder [-write] [root]
 //
-// builds the whole-program lock-acquisition graph (internal/lint/
-// lockorder), fails on cycles, and checks the ranked order against the
-// committed internal/lint/lockorder/ORDER.golden; -write regenerates
-// the golden after a reviewed change (`make lockorder-golden`).
+// reports only the lock-order findings; with -write it regenerates the
+// golden instead, after a reviewed change (`make lockorder-golden`).
 //
-//	p2plint -json [root]
-//
-// runs every analyzer plus the lock-order check over the module and
-// emits the findings as a sorted JSON array on stdout — one object per
-// diagnostic with file/line/col/analyzer/message/suggested_fix — for
-// CI artifacts and tooling. Exit status 1 when there are findings.
+// Each analyzer documents its invariant; a deliberate exception is
+// suppressed in place with //lint:ignore <analyzer> — <reason>. See
+// internal/lint and the "Static analysis" section of README.md.
 package main
 
 import (
+	"flag"
 	"fmt"
 	"go/token"
-	"go/types"
+	"io"
 	"os"
 	"path/filepath"
-
-	"golang.org/x/tools/go/analysis"
-	"golang.org/x/tools/go/analysis/passes/inspect"
-	"golang.org/x/tools/go/analysis/unitchecker"
-	"golang.org/x/tools/go/ast/inspector"
+	"strings"
 
 	"repro/internal/lint/clockcheck"
 	"repro/internal/lint/eventguard"
@@ -52,8 +49,7 @@ import (
 	"repro/internal/lint/srcload"
 )
 
-// analyzers is the vet-mode bundle; -json runs the same set.
-var analyzers = []*analysis.Analyzer{
+var analyzers = []*lintutil.Analyzer{
 	clockcheck.Analyzer,
 	eventguard.Analyzer,
 	lockfield.Analyzer,
@@ -62,97 +58,76 @@ var analyzers = []*analysis.Analyzer{
 	replaysafe.Analyzer,
 }
 
+// module is the path the tree's packages are addressed under.
+const module = "repro"
+
 // goldenRel locates the committed lock order inside the module.
 const goldenRel = "internal/lint/lockorder/ORDER.golden"
 
 func main() {
-	if len(os.Args) > 1 {
-		switch os.Args[1] {
-		case "-lockorder":
-			os.Exit(lockorderMode(os.Args[2:]))
-		case "-json":
-			os.Exit(jsonMode(os.Args[2:]))
-		}
-	}
-	unitchecker.Main(analyzers...)
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-// parseRoot splits a standalone mode's arguments into flags and the
-// optional module root (default ".").
-func parseRoot(args []string) (root string, write bool) {
-	root = "."
-	for _, a := range args {
-		if a == "-write" {
-			write = true
-			continue
-		}
-		root = a
-	}
-	return root, write
-}
-
-// lockorderMode checks (or with -write, regenerates) ORDER.golden.
-func lockorderMode(args []string) int {
-	root, write := parseRoot(args)
-	res, err := lockorder.Run(root)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "p2plint -lockorder: %v\n", err)
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("p2plint", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	asJSON := fs.Bool("json", false, "print the findings as a sorted JSON array")
+	lockOnly := fs.Bool("lockorder", false, "report only the lock-order findings")
+	write := fs.Bool("write", false, "with -lockorder: regenerate ORDER.golden instead of checking it")
+	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	if len(res.Cycles) > 0 {
-		fmt.Fprint(os.Stderr, res.CycleReport())
-		return 1
-	}
-	golden := filepath.Join(root, filepath.FromSlash(goldenRel))
-	if write {
-		if err := os.WriteFile(golden, []byte(res.Golden()), 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "p2plint -lockorder: %v\n", err)
-			return 2
-		}
-		fmt.Printf("wrote %s (%d locks, %d edges)\n", golden, len(res.Locks), len(res.Edges))
-		return 0
-	}
-	want, err := os.ReadFile(golden)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "p2plint -lockorder: %v (regenerate with `make lockorder-golden`)\n", err)
+	if *write && !*lockOnly {
+		fmt.Fprintln(stderr, "p2plint: -write needs -lockorder")
 		return 2
 	}
-	if diff := lockorder.Diff(string(want), res.Golden()); diff != "" {
-		fmt.Fprintf(os.Stderr, "lock acquisition order changed; review and run `make lockorder-golden`:\n%s", diff)
-		return 1
+	root := "."
+	if fs.NArg() > 0 {
+		root = fs.Arg(0)
 	}
-	fmt.Printf("lock order OK (%d locks, %d edges, 0 cycles)\n", len(res.Locks), len(res.Edges))
-	return 0
-}
-
-// jsonMode runs every analyzer over the source-loaded module and emits
-// machine-readable findings.
-func jsonMode(args []string) int {
-	root, _ := parseRoot(args)
 	fset := token.NewFileSet()
-	pkgs, err := srcload.Load(&srcload.Config{Fset: fset, Root: root, Module: "repro"})
+	pkgs, err := srcload.Load(&srcload.Config{Fset: fset, Root: root, Module: module})
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "p2plint -json: %v\n", err)
+		fmt.Fprintf(stderr, "p2plint: %v\n", err)
 		return 2
 	}
+	var scoped []*srcload.Package
+	for _, p := range pkgs {
+		if lockorder.Scope(strings.TrimPrefix(p.Path, module+"/")) {
+			scoped = append(scoped, p)
+		}
+	}
+	res := lockorder.Analyze(fset, scoped)
+	golden := filepath.Join(root, filepath.FromSlash(goldenRel))
+	if *write {
+		return writeGolden(res, golden, stdout, stderr)
+	}
+
 	var findings []lintutil.Finding
-	for _, pkg := range pkgs {
-		for _, a := range analyzers {
-			if err := runAnalyzer(a, fset, pkg, &findings); err != nil {
-				fmt.Fprintf(os.Stderr, "p2plint -json: %s on %s: %v\n", a.Name, pkg.Path, err)
-				return 2
+	if !*lockOnly {
+		for _, pkg := range pkgs {
+			for _, a := range analyzers {
+				lintutil.Run(a, fset, pkg, func(pos token.Pos, msg string) {
+					findings = append(findings, lintutil.NewFinding(fset, a.Name, pos, msg))
+				})
 			}
 		}
 	}
-	findings = append(findings, lockorderFindings(root)...)
-	abs, err := filepath.Abs(root)
-	if err == nil {
+	findings = append(findings, lockorderFindings(fset, res, golden)...)
+	if abs, err := filepath.Abs(root); err == nil {
 		lintutil.TrimRoot(findings, abs)
 	}
 	lintutil.TrimRoot(findings, root)
-	if err := lintutil.WriteFindings(os.Stdout, findings); err != nil {
-		fmt.Fprintf(os.Stderr, "p2plint -json: %v\n", err)
-		return 2
+	if *asJSON {
+		if err := lintutil.WriteFindings(stdout, findings); err != nil {
+			fmt.Fprintf(stderr, "p2plint: %v\n", err)
+			return 2
+		}
+	} else {
+		lintutil.SortFindings(findings)
+		for _, f := range findings {
+			fmt.Fprintln(stdout, f)
+		}
 	}
 	if len(findings) > 0 {
 		return 1
@@ -160,92 +135,47 @@ func jsonMode(args []string) int {
 	return 0
 }
 
-// runAnalyzer drives one analyzer over one loaded package, collecting
-// its diagnostics as findings (the linttest pass-construction idiom).
-func runAnalyzer(a *analysis.Analyzer, fset *token.FileSet, pkg *srcload.Package, findings *[]lintutil.Finding) error {
-	pass := &analysis.Pass{
-		Analyzer:   a,
-		Fset:       fset,
-		Files:      pkg.Files,
-		Pkg:        pkg.Pkg,
-		TypesInfo:  pkg.Info,
-		TypesSizes: types.SizesFor("gc", "amd64"),
-		ResultOf:   map[*analysis.Analyzer]any{},
-		Report: func(d analysis.Diagnostic) {
-			*findings = append(*findings, lintutil.NewFinding(fset, a.Name, d))
-		},
-		ImportObjectFact:  func(types.Object, analysis.Fact) bool { return false },
-		ImportPackageFact: func(*types.Package, analysis.Fact) bool { return false },
-		ExportObjectFact:  func(types.Object, analysis.Fact) {},
-		ExportPackageFact: func(analysis.Fact) {},
+// writeGolden regenerates ORDER.golden, refusing while the graph has a
+// cycle (a cyclic graph has no ranking).
+func writeGolden(res *lockorder.Result, golden string, stdout, stderr io.Writer) int {
+	if len(res.Cycles) > 0 {
+		fmt.Fprint(stderr, res.CycleReport())
+		return 1
 	}
-	for _, req := range a.Requires {
-		if req != inspect.Analyzer {
-			return fmt.Errorf("unsupported analyzer dependency %s", req.Name)
-		}
-		pass.ResultOf[req] = inspector.New(pkg.Files)
+	if err := os.WriteFile(golden, []byte(res.Golden()), 0o644); err != nil {
+		fmt.Fprintf(stderr, "p2plint -lockorder: %v\n", err)
+		return 2
 	}
-	_, err := a.Run(pass)
-	return err
+	fmt.Fprintf(stdout, "wrote %s (%d locks, %d edges)\n", golden, len(res.Locks), len(res.Edges))
+	return 0
 }
 
-// lockorderFindings folds the whole-program lock-order check into the
-// findings stream: each cycle edge is a finding at its first witness,
-// and a stale ORDER.golden is a finding on the golden itself.
-func lockorderFindings(root string) []lintutil.Finding {
-	fail := func(msg string) []lintutil.Finding {
-		return []lintutil.Finding{{File: goldenRel, Line: 1, Col: 1, Analyzer: "lockorder", Message: msg}}
-	}
-	res, err := lockorder.Run(root)
-	if err != nil {
-		return fail(fmt.Sprintf("analysis failed: %v", err))
-	}
+// lockorderFindings folds the lock-order check into the findings: each
+// cycle edge is a finding, with its acquisition path, where its holder
+// acquires or calls toward the other lock; a stale ORDER.golden is a
+// finding on the golden itself, listing the changed lines.
+func lockorderFindings(fset *token.FileSet, res *lockorder.Result, golden string) []lintutil.Finding {
 	var out []lintutil.Finding
 	for _, cyc := range res.Cycles {
 		for _, e := range cyc.Edges {
-			f := lintutil.Finding{File: goldenRel, Line: 1, Col: 1, Analyzer: "lockorder"}
-			if len(e.Witness) > 0 {
-				if file, line, ok := splitWitness(e.Witness[0]); ok {
-					f.File, f.Line = file, line
-				}
-			}
-			f.Message = fmt.Sprintf("lock-order cycle: %s acquired while %s held, and the reverse elsewhere (run p2plint -lockorder for the full paths)", e.To, e.From)
-			out = append(out, f)
+			out = append(out, lintutil.NewFinding(fset, "lockorder", e.Pos, fmt.Sprintf(
+				"lock-order cycle: %s acquired while %s held, and the reverse elsewhere; path: %s",
+				e.To, e.From, strings.Join(e.Witness, " -> "))))
 		}
 	}
 	if len(out) > 0 {
 		return out
 	}
-	want, err := os.ReadFile(filepath.Join(root, filepath.FromSlash(goldenRel)))
+	fail := func(msg string) []lintutil.Finding {
+		return []lintutil.Finding{{File: golden, Line: 1, Col: 1, Analyzer: "lockorder", Message: msg}}
+	}
+	want, err := os.ReadFile(golden)
 	if err != nil {
 		return fail(fmt.Sprintf("reading golden: %v (regenerate with `make lockorder-golden`)", err))
 	}
-	if lockorder.Diff(string(want), res.Golden()) != "" {
-		return fail("lock acquisition order changed; review and run `make lockorder-golden`")
+	if diff := lockorder.Diff(string(want), res.Golden()); diff != "" {
+		return fail("lock acquisition order changed; review and run `make lockorder-golden`: " +
+			strings.Join(strings.Split(strings.TrimSuffix(diff, "\n"), "\n"), "; "))
 	}
 	return nil
-}
-
-// splitWitness recovers file and line from a "file:line: what" step.
-func splitWitness(w string) (string, int, bool) {
-	var file string
-	var line int
-	// The file part may itself contain colons on exotic paths; scan for
-	// the ":<digits>:" separator from the left.
-	for i := 0; i < len(w); i++ {
-		if w[i] != ':' {
-			continue
-		}
-		j := i + 1
-		n := 0
-		for j < len(w) && w[j] >= '0' && w[j] <= '9' {
-			n = n*10 + int(w[j]-'0')
-			j++
-		}
-		if j > i+1 && j < len(w) && w[j] == ':' {
-			file, line = w[:i], n
-			return file, line, true
-		}
-	}
-	return "", 0, false
 }

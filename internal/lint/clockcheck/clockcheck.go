@@ -13,39 +13,25 @@ import (
 	"go/types"
 	"strings"
 
-	"golang.org/x/tools/go/analysis"
-	"golang.org/x/tools/go/analysis/passes/inspect"
-	"golang.org/x/tools/go/ast/inspector"
-	"golang.org/x/tools/go/types/typeutil"
-
 	"repro/internal/lint/lintutil"
 )
 
 const doc = `forbid wall-clock and global randomness in deterministic packages
 
-Packages listed in -deterministic (path suffixes) form the simulated
+The deterministic packages (path suffixes) form the simulated
 core: all time must come from the injected clock (env.Clock / sim
 engine) and all randomness from the injected rng stream. Calls to
 time.Now, time.Since, time.Sleep, timer constructors, and package-level
 math/rand functions are reported. Suppress a deliberate crossing with
-//lint:allow clockcheck <reason>.`
-
-const name = "clockcheck"
+//lint:ignore clockcheck — <reason>.`
 
 // Analyzer is the clockcheck pass.
-var Analyzer = &analysis.Analyzer{
-	Name:     name,
-	Doc:      doc,
-	Requires: []*analysis.Analyzer{inspect.Analyzer},
-	Run:      run,
-}
+var Analyzer = &lintutil.Analyzer{Name: "clockcheck", Doc: doc, Run: run}
 
 // deterministic lists the package-path suffixes the analyzer applies to.
-var deterministic = "internal/core,internal/sim,internal/sched,internal/graph,internal/experiments,internal/scenario,internal/dht"
-
-func init() {
-	Analyzer.Flags.StringVar(&deterministic, "deterministic", deterministic,
-		"comma-separated package path suffixes that must stay deterministic")
+var deterministic = []string{
+	"internal/core", "internal/sim", "internal/sched", "internal/graph",
+	"internal/experiments", "internal/scenario", "internal/dht",
 }
 
 // forbiddenTime are the time package functions that read or wait on the
@@ -57,42 +43,46 @@ var forbiddenTime = map[string]bool{
 	"AfterFunc": true,
 }
 
-func run(pass *analysis.Pass) (any, error) {
-	if !lintutil.PkgMatch(pass.Pkg.Path(), strings.Split(deterministic, ",")) {
-		return nil, nil
+func run(pass *lintutil.Pass) {
+	if !lintutil.PkgMatch(pass.Pkg.Path(), deterministic) {
+		return
 	}
-	ins := pass.ResultOf[inspect.Analyzer].(*inspector.Inspector)
-	ins.Preorder([]ast.Node{(*ast.CallExpr)(nil)}, func(n ast.Node) {
-		call := n.(*ast.CallExpr)
-		fn := typeutil.StaticCallee(pass.TypesInfo, call)
-		if fn == nil || fn.Pkg() == nil {
-			return
-		}
-		if sig, ok := fn.Type().(*types.Signature); ok && sig.Recv() != nil {
-			return // methods are fine; only package-level funcs observe globals
-		}
-		var what string
-		switch fn.Pkg().Path() {
-		case "time":
-			if forbiddenTime[fn.Name()] {
-				what = "wall clock (use the injected env.Clock)"
+	for _, f := range pass.Files {
+		ast.Inspect(f, func(n ast.Node) bool {
+			if call, ok := n.(*ast.CallExpr); ok {
+				checkCall(pass, call)
 			}
-		case "math/rand", "math/rand/v2":
-			// Constructors (New, NewSource, ...) build an explicitly
-			// seeded stream; only the package-level funcs that draw
-			// from the hidden global source are nondeterministic.
-			if !strings.HasPrefix(fn.Name(), "New") {
-				what = "global randomness (use the injected rng stream)"
-			}
+			return true
+		})
+	}
+}
+
+// checkCall reports a call that reads the wall clock, waits on it, or
+// draws from the global random source.
+func checkCall(pass *lintutil.Pass, call *ast.CallExpr) {
+	fn := lintutil.StaticCallee(pass.TypesInfo, call)
+	if fn == nil || fn.Pkg() == nil {
+		return
+	}
+	if fn.Type().(*types.Signature).Recv() != nil {
+		return // methods are fine; only package-level funcs observe globals
+	}
+	var what string
+	switch fn.Pkg().Path() {
+	case "time":
+		if forbiddenTime[fn.Name()] {
+			what = "wall clock (use the injected env.Clock)"
 		}
-		if what == "" {
-			return
+	case "math/rand", "math/rand/v2":
+		// Constructors (New, NewSource, ...) build an explicitly
+		// seeded stream; only the package-level funcs that draw
+		// from the hidden global source are nondeterministic.
+		if !strings.HasPrefix(fn.Name(), "New") {
+			what = "global randomness (use the injected rng stream)"
 		}
-		if lintutil.InTestFile(pass, call.Pos()) || lintutil.Allowed(pass, call.Pos(), name) {
-			return
-		}
+	}
+	if what != "" {
 		pass.Reportf(call.Pos(), "%s.%s reads %s in deterministic package %s",
 			fn.Pkg().Name(), fn.Name(), what, pass.Pkg.Path())
-	})
-	return nil, nil
+	}
 }

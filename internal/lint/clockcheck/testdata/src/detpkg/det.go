@@ -39,7 +39,7 @@ func conversionsAreFine() {
 }
 
 func escapeHatch() {
-	//lint:allow clockcheck boundary fixture: pretend live-runtime edge
+	//lint:ignore clockcheck — boundary fixture: pretend live-runtime edge
 	_ = time.Now()
-	_ = time.Now() //lint:allow clockcheck same-line form
+	_ = time.Now() //lint:ignore clockcheck — same-line form
 }

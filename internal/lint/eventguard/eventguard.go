@@ -22,84 +22,64 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"strings"
-
-	"golang.org/x/tools/go/analysis"
-	"golang.org/x/tools/go/analysis/passes/inspect"
-	"golang.org/x/tools/go/ast/inspector"
 
 	"repro/internal/lint/lintutil"
 )
 
 const doc = `require nil-guards around tracer/metrics emitters and on Events/Tracer methods
 
-See package documentation. Suppress with //lint:allow eventguard <reason>.`
-
-const name = "eventguard"
+See package documentation. Suppress with //lint:ignore eventguard — <reason>.`
 
 // Analyzer is the eventguard pass.
-var Analyzer = &analysis.Analyzer{
-	Name:     name,
-	Doc:      doc,
-	Requires: []*analysis.Analyzer{inspect.Analyzer},
-	Run:      run,
-}
+var Analyzer = &lintutil.Analyzer{Name: "eventguard", Doc: doc, Run: run}
 
 // hotpath lists the package-path suffixes whose call sites rule 1
 // applies to.
-var hotpath = "internal/core,internal/live"
+var hotpath = []string{"internal/core", "internal/live"}
 
-func init() {
-	Analyzer.Flags.StringVar(&hotpath, "hotpath", hotpath,
-		"comma-separated package path suffixes whose tracer/metrics call sites must be nil-guarded")
-}
-
-func run(pass *analysis.Pass) (any, error) {
-	ins := pass.ResultOf[inspect.Analyzer].(*inspector.Inspector)
-	checkDeclarations(pass, ins)
-	if lintutil.PkgMatch(pass.Pkg.Path(), strings.Split(hotpath, ",")) {
-		checkCallSites(pass, ins)
+func run(pass *lintutil.Pass) {
+	for _, f := range pass.Files {
+		for _, decl := range f.Decls {
+			if fd, ok := decl.(*ast.FuncDecl); ok {
+				checkDeclaration(pass, fd)
+			}
+		}
 	}
-	return nil, nil
+	if lintutil.PkgMatch(pass.Pkg.Path(), hotpath) {
+		checkCallSites(pass)
+	}
 }
 
 // --- rule 2: declarations ---
 
-// checkDeclarations enforces the nil-receiver guard on exported methods
+// checkDeclaration enforces the nil-receiver guard on exported methods
 // of the run-wide sink types.
-func checkDeclarations(pass *analysis.Pass, ins *inspector.Inspector) {
-	ins.Preorder([]ast.Node{(*ast.FuncDecl)(nil)}, func(n ast.Node) {
-		fd := n.(*ast.FuncDecl)
-		if fd.Recv == nil || len(fd.Recv.List) == 0 || !fd.Name.IsExported() || fd.Body == nil {
-			return
-		}
-		rt := pass.TypesInfo.TypeOf(fd.Recv.List[0].Type)
-		if rt == nil {
-			return
-		}
-		if _, isPtr := types.Unalias(rt).(*types.Pointer); !isPtr {
-			return // value receivers cannot be nil
-		}
-		if !lintutil.IsNamed(rt, "internal/trace", "Tracer") &&
-			!lintutil.IsNamed(rt, "internal/core", "Events") &&
-			!lintutil.IsNamed(rt, "internal/core", "DecisionLog") &&
-			!lintutil.IsNamed(rt, "internal/stats", "Set") {
-			return
-		}
-		names := fd.Recv.List[0].Names
-		if len(names) == 0 || names[0].Name == "_" {
-			return // receiver unused: nothing to dereference
-		}
-		if startsWithNilGuard(fd.Body, names[0].Name) {
-			return
-		}
-		if lintutil.InTestFile(pass, fd.Pos()) || lintutil.Allowed(pass, fd.Pos(), name) {
-			return
-		}
+func checkDeclaration(pass *lintutil.Pass, fd *ast.FuncDecl) {
+	if fd.Recv == nil || len(fd.Recv.List) == 0 || !fd.Name.IsExported() || fd.Body == nil {
+		return
+	}
+	rt := pass.TypesInfo.TypeOf(fd.Recv.List[0].Type)
+	if rt == nil {
+		return
+	}
+	if _, isPtr := types.Unalias(rt).(*types.Pointer); !isPtr {
+		return // value receivers cannot be nil
+	}
+	if !lintutil.IsNamed(rt, "internal/trace", "Tracer") &&
+		!lintutil.IsNamed(rt, "internal/core", "Events") &&
+		!lintutil.IsNamed(rt, "internal/core", "DecisionLog") &&
+		!lintutil.IsNamed(rt, "internal/stats", "Set") {
+		return
+	}
+	names := fd.Recv.List[0].Names
+	if len(names) == 0 || names[0].Name == "_" {
+		return // receiver unused: nothing to dereference
+	}
+	if !startsWithNilGuard(fd.Body, names[0].Name) {
 		pass.Reportf(fd.Name.Pos(),
 			"exported method %s.%s must begin with a nil-receiver guard (if %s == nil { ... return })",
 			lintutil.NamedPointee(rt).Obj().Name(), fd.Name.Name, names[0].Name)
-	})
+	}
 }
 
 // startsWithNilGuard reports whether the body's first statement is
@@ -145,36 +125,32 @@ func condHasNilCheck(cond ast.Expr, recv string, op token.Token) bool {
 
 // --- rule 1: call sites ---
 
-func checkCallSites(pass *analysis.Pass, ins *inspector.Inspector) {
-	ins.WithStack([]ast.Node{(*ast.CallExpr)(nil)}, func(n ast.Node, push bool, stack []ast.Node) bool {
-		if !push {
-			return true
+func checkCallSites(pass *lintutil.Pass) {
+	lintutil.WithStack(pass.Files, func(n ast.Node, stack []ast.Node) {
+		call, ok := n.(*ast.CallExpr)
+		if !ok {
+			return
 		}
-		call := n.(*ast.CallExpr)
 		sel, ok := call.Fun.(*ast.SelectorExpr)
 		if !ok {
-			return true
+			return
 		}
 		tv, ok := pass.TypesInfo.Types[sel.X]
 		if !ok || !tv.IsValue() || !isSink(tv.Type) {
-			return true
+			return
 		}
 		// Inside the sink's own package the receiver is the live
 		// instance being implemented; the contract binds users.
 		if named := lintutil.NamedPointee(tv.Type); named != nil && named.Obj().Pkg() == pass.Pkg {
-			return true
+			return
 		}
 		recv := lintutil.ExprString(sel.X)
 		if _, chained := sel.X.(*ast.CallExpr); !chained && guarded(stack, recv) {
-			return true
-		}
-		if lintutil.InTestFile(pass, call.Pos()) || lintutil.Allowed(pass, call.Pos(), name) {
-			return true
+			return
 		}
 		pass.Reportf(call.Pos(),
 			"call to (%s).%s is not nil-guarded; bind the sink first (if v := ...; v != nil { v.%s(...) }) to keep the disabled path allocation-free",
 			tv.Type.String(), sel.Sel.Name, sel.Sel.Name)
-		return true
 	})
 }
 

@@ -69,7 +69,7 @@ func orGuard(e *Events, reg *metrics.Registry) {
 
 func allowHatch(e *Events) {
 	tr := e.Tracer()
-	//lint:allow eventguard fixture exercises the escape hatch
+	//lint:ignore eventguard — fixture exercises the escape hatch
 	tr.Instant("suppressed")
 }
 

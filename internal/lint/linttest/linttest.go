@@ -1,9 +1,8 @@
-// Package linttest is a minimal analysistest-style driver for the
-// p2plint analyzers. The real analysistest needs go/packages (and a
-// build cache warm enough to load the standard library); this harness
-// instead type-checks a testdata package hermetically, resolving its
-// imports from caller-supplied fake packages, then runs one analyzer
-// and compares its diagnostics against "// want" expectations.
+// Package linttest runs one p2plint analyzer over a testdata package
+// and compares its diagnostics against "// want" expectations. The
+// package is type-checked by srcload.Check, the step the real loader
+// uses, with its imports resolved from caller-supplied fake packages
+// first and the standard library's source importer second.
 //
 // Expectation syntax, as in analysistest: a comment
 //
@@ -19,20 +18,16 @@ import (
 	"fmt"
 	"go/ast"
 	"go/importer"
-	"go/parser"
 	"go/token"
 	"go/types"
-	"os"
-	"path/filepath"
 	"regexp"
 	"sort"
 	"strconv"
 	"strings"
 	"testing"
 
-	"golang.org/x/tools/go/analysis"
-	"golang.org/x/tools/go/analysis/passes/inspect"
-	"golang.org/x/tools/go/ast/inspector"
+	"repro/internal/lint/lintutil"
+	"repro/internal/lint/srcload"
 )
 
 // Target describes the package a test analyzes.
@@ -44,59 +39,35 @@ type Target struct {
 	Path string
 	// Deps maps import paths to directories of fake dependency
 	// packages (e.g. "time" -> "testdata/src/faketime"). Imports not
-	// listed here and not provided by the host resolve through the
-	// standard library source importer.
+	// listed here resolve through the standard library source importer.
 	Deps map[string]string
 }
 
 // Run type-checks the target and asserts the analyzer's diagnostics
 // against the target's "// want" comments.
-func Run(t *testing.T, a *analysis.Analyzer, tgt Target) {
+func Run(t *testing.T, a *lintutil.Analyzer, tgt Target) {
 	t.Helper()
 	fset := token.NewFileSet()
-	ld := &loader{
+	imp := &fakeImporter{
 		fset: fset,
 		deps: tgt.Deps,
 		std:  importer.ForCompiler(fset, "source", nil),
 		pkgs: map[string]*types.Package{},
 	}
-	files, info, pkg, err := ld.check(tgt.Path, tgt.Dir)
+	pkg, err := srcload.Check(fset, tgt.Path, tgt.Dir, imp)
 	if err != nil {
 		t.Fatalf("loading %s: %v", tgt.Dir, err)
 	}
-
-	var diags []analysis.Diagnostic
-	pass := &analysis.Pass{
-		Analyzer:          a,
-		Fset:              fset,
-		Files:             files,
-		Pkg:               pkg,
-		TypesInfo:         info,
-		TypesSizes:        types.SizesFor("gc", "amd64"),
-		ResultOf:          map[*analysis.Analyzer]any{},
-		Report:            func(d analysis.Diagnostic) { diags = append(diags, d) },
-		ImportObjectFact:  func(types.Object, analysis.Fact) bool { return false },
-		ImportPackageFact: func(*types.Package, analysis.Fact) bool { return false },
-		ExportObjectFact:  func(types.Object, analysis.Fact) {},
-		ExportPackageFact: func(analysis.Fact) {},
-	}
-	for _, req := range a.Requires {
-		if req != inspect.Analyzer {
-			t.Fatalf("linttest only supports the inspect dependency, analyzer requires %s", req.Name)
-		}
-		pass.ResultOf[req] = inspector.New(files)
-	}
-	if _, err := a.Run(pass); err != nil {
-		t.Fatalf("%s: %v", a.Name, err)
-	}
-	compare(t, fset, files, diags)
+	var diags []diagnostic
+	lintutil.Run(a, fset, pkg, func(pos token.Pos, msg string) {
+		diags = append(diags, diagnostic{pos, msg})
+	})
+	compare(t, fset, pkg.Files, diags)
 }
 
-// --- hermetic loading ---
-
-// loader resolves imports from fake local packages first, then the
-// standard library's source importer.
-type loader struct {
+// fakeImporter resolves imports from the fake local packages first,
+// then the standard library's source importer.
+type fakeImporter struct {
 	fset *token.FileSet
 	deps map[string]string
 	std  types.Importer
@@ -104,7 +75,7 @@ type loader struct {
 }
 
 // Import implements types.Importer.
-func (l *loader) Import(path string) (*types.Package, error) {
+func (l *fakeImporter) Import(path string) (*types.Package, error) {
 	if pkg, ok := l.pkgs[path]; ok {
 		return pkg, nil
 	}
@@ -112,49 +83,17 @@ func (l *loader) Import(path string) (*types.Package, error) {
 	if !ok {
 		return l.std.Import(path)
 	}
-	_, _, pkg, err := l.check(path, dir)
+	pkg, err := srcload.Check(l.fset, path, dir, l)
 	if err != nil {
 		return nil, fmt.Errorf("dep %s: %w", path, err)
 	}
-	return pkg, nil
+	l.pkgs[path] = pkg.Pkg
+	return pkg.Pkg, nil
 }
 
-// check parses and type-checks one package directory.
-func (l *loader) check(path, dir string) ([]*ast.File, *types.Info, *types.Package, error) {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	var files []*ast.File
-	for _, e := range entries {
-		if e.IsDir() || !strings.HasSuffix(e.Name(), ".go") {
-			continue
-		}
-		f, err := parser.ParseFile(l.fset, filepath.Join(dir, e.Name()), nil, parser.ParseComments)
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		files = append(files, f)
-	}
-	if len(files) == 0 {
-		return nil, nil, nil, fmt.Errorf("no .go files in %s", dir)
-	}
-	info := &types.Info{
-		Types:      map[ast.Expr]types.TypeAndValue{},
-		Defs:       map[*ast.Ident]types.Object{},
-		Uses:       map[*ast.Ident]types.Object{},
-		Implicits:  map[ast.Node]types.Object{},
-		Selections: map[*ast.SelectorExpr]*types.Selection{},
-		Scopes:     map[ast.Node]*types.Scope{},
-		Instances:  map[*ast.Ident]types.Instance{},
-	}
-	conf := types.Config{Importer: l}
-	pkg, err := conf.Check(path, l.fset, files, info)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	l.pkgs[path] = pkg
-	return files, info, pkg, nil
+type diagnostic struct {
+	pos token.Pos
+	msg string
 }
 
 // --- expectation matching ---
@@ -202,22 +141,22 @@ func wants(t *testing.T, fset *token.FileSet, files []*ast.File) []*expectation 
 }
 
 // compare reconciles diagnostics with expectations.
-func compare(t *testing.T, fset *token.FileSet, files []*ast.File, diags []analysis.Diagnostic) {
+func compare(t *testing.T, fset *token.FileSet, files []*ast.File, diags []diagnostic) {
 	t.Helper()
 	exps := wants(t, fset, files)
-	sort.Slice(diags, func(i, j int) bool { return diags[i].Pos < diags[j].Pos })
+	sort.Slice(diags, func(i, j int) bool { return diags[i].pos < diags[j].pos })
 	for _, d := range diags {
-		pos := fset.Position(d.Pos)
+		pos := fset.Position(d.pos)
 		matched := false
 		for _, e := range exps {
-			if !e.hit && e.file == pos.Filename && e.line == pos.Line && e.re.MatchString(d.Message) {
+			if !e.hit && e.file == pos.Filename && e.line == pos.Line && e.re.MatchString(d.msg) {
 				e.hit = true
 				matched = true
 				break
 			}
 		}
 		if !matched {
-			t.Errorf("%s: unexpected diagnostic: %s", pos, d.Message)
+			t.Errorf("%s: unexpected diagnostic: %s", pos, d.msg)
 		}
 	}
 	for _, e := range exps {

@@ -4,15 +4,12 @@ import (
 	"go/ast"
 	"go/token"
 	"strings"
-
-	"golang.org/x/tools/go/analysis"
 )
 
-// This file implements the second-generation suppression plane shared by
-// the SSA-era analyzers (maporder, lockorder). Unlike the original
-// //lint:allow marker, these directives make the justification mandatory
-// and are themselves checked: a directive that never suppresses anything
-// is reported, so stale escapes cannot accumulate silently.
+// This file implements the suppression plane every analyzer's findings
+// pass through (Pass.Reportf). The justification is mandatory, and the
+// directives are themselves checked: a directive that never suppresses
+// anything is reported, so stale escapes cannot accumulate silently.
 //
 // Two forms are recognised:
 //
@@ -24,19 +21,20 @@ import (
 // it (so it can sit above the offending statement), or suppresses a
 // diagnostic on its own line when written as a trailing comment.
 
-// Directive is one parsed //lint: control comment.
-type Directive struct {
-	// Analyzer is the analyzer the directive addresses.
-	Analyzer string
-	// Kind is "ignore" for the generic form, or the analyzer-specific
+// directive is one parsed //lint: control comment.
+type directive struct {
+	// analyzer is the analyzer the directive addresses.
+	analyzer string
+	// kind is "ignore" for the generic form, or the analyzer-specific
 	// verb ("commutative" for //lint:maporder commutative).
-	Kind string
-	// Reason is the mandatory justification after the dash; empty when
-	// the author forgot it (reported by Suppressor.Finish).
-	Reason string
-	// Pos/Line locate the directive comment itself.
-	Pos  token.Pos
-	Line int
+	kind string
+	// reason is the mandatory justification after the dash; empty when
+	// the author forgot it (reported by finish).
+	reason string
+	// pos/file/line locate the directive comment itself.
+	pos  token.Pos
+	file string
+	line int
 
 	used bool
 }
@@ -46,67 +44,64 @@ const (
 	maporderPrefix = "//lint:maporder "
 )
 
-// splitReason separates "rest — reason" into (rest, reason, found).
-func splitReason(s string) (string, string, bool) {
+// splitReason separates "rest — reason" into (rest, reason).
+func splitReason(s string) (string, string) {
 	for _, dash := range []string{"—", "--"} {
 		if head, tail, ok := strings.Cut(s, dash); ok {
-			return strings.TrimSpace(head), strings.TrimSpace(tail), true
+			return strings.TrimSpace(head), strings.TrimSpace(tail)
 		}
 	}
-	return strings.TrimSpace(s), "", false
+	return strings.TrimSpace(s), ""
 }
 
 // parseDirective parses one comment, returning nil when it is not a
 // lint directive.
-func parseDirective(fset *token.FileSet, c *ast.Comment) *Directive {
+func parseDirective(fset *token.FileSet, c *ast.Comment) *directive {
 	text := c.Text
 	// Fixture files append their "// want" expectation to the directive
 	// comment itself; it is not part of the reason.
 	if i := strings.Index(text, "// want "); i > 0 {
 		text = strings.TrimSpace(text[:i])
 	}
-	d := &Directive{Pos: c.Pos(), Line: fset.Position(c.Pos()).Line}
+	p := fset.Position(c.Pos())
+	d := &directive{pos: c.Pos(), file: p.Filename, line: p.Line}
 	switch {
 	case strings.HasPrefix(text, ignorePrefix):
-		rest := strings.TrimPrefix(text, ignorePrefix)
-		head, reason, _ := splitReason(rest)
+		head, reason := splitReason(strings.TrimPrefix(text, ignorePrefix))
 		name, _, _ := strings.Cut(head, " ")
 		if name == "" {
 			return nil
 		}
-		d.Analyzer, d.Kind, d.Reason = name, "ignore", reason
+		d.analyzer, d.kind, d.reason = name, "ignore", reason
 	case strings.HasPrefix(text, maporderPrefix):
-		rest := strings.TrimPrefix(text, maporderPrefix)
-		head, reason, _ := splitReason(rest)
+		head, reason := splitReason(strings.TrimPrefix(text, maporderPrefix))
 		verb, _, _ := strings.Cut(head, " ")
 		if verb != "commutative" {
 			return nil
 		}
-		d.Analyzer, d.Kind, d.Reason = "maporder", "commutative", reason
+		d.analyzer, d.kind, d.reason = "maporder", "commutative", reason
 	default:
 		return nil
 	}
 	return d
 }
 
-// Suppressor holds the directives addressed to one analyzer in one
-// package, tracks which of them actually suppressed a diagnostic, and
-// reports the defective ones (missing reason, never used) when the
-// analyzer finishes.
-type Suppressor struct {
-	pass       *analysis.Pass
+// suppressor holds the directives addressed to one analyzer in one
+// package and tracks which of them actually suppressed a diagnostic.
+type suppressor struct {
+	fset       *token.FileSet
 	analyzer   string
-	directives []*Directive
+	directives []*directive
 }
 
-// NewSuppressor collects the directives for the named analyzer from
-// every file of the pass.
-func NewSuppressor(pass *analysis.Pass, analyzer string) *Suppressor {
-	s := &Suppressor{pass: pass, analyzer: analyzer}
-	for _, f := range pass.Files {
+// newSuppressor collects the directives for the named analyzer from
+// the files.
+func newSuppressor(fset *token.FileSet, files []*ast.File, analyzer string) *suppressor {
+	s := &suppressor{fset: fset, analyzer: analyzer}
+	for _, f := range files {
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
-				if d := parseDirective(pass.Fset, c); d != nil && d.Analyzer == analyzer {
+				if d := parseDirective(fset, c); d != nil && d.analyzer == analyzer {
 					s.directives = append(s.directives, d)
 				}
 			}
@@ -115,60 +110,37 @@ func NewSuppressor(pass *analysis.Pass, analyzer string) *Suppressor {
 	return s
 }
 
-// at returns the directive of the given kind covering pos (same line or
-// the line above), or nil.
-func (s *Suppressor) at(pos token.Pos, kind string) *Directive {
-	line := s.pass.Fset.Position(pos).Line
+// mark reports whether a directive of the given kind covers pos (same
+// file, and same line or the line above), marking it used. A directive with a missing
+// reason still counts — the missing reason is reported once, by
+// finish, at the directive itself.
+func (s *suppressor) mark(pos token.Pos, kind string) bool {
+	p := s.fset.Position(pos)
 	for _, d := range s.directives {
-		if d.Kind != kind {
-			continue
+		if d.kind == kind && d.file == p.Filename && (d.line == p.Line || d.line == p.Line-1) {
+			d.used = true
+			return true
 		}
-		if d.Line == line || d.Line == line-1 {
-			return d
-		}
-	}
-	return nil
-}
-
-// Suppressed reports whether a diagnostic at pos is covered by a
-// //lint:ignore directive, marking the directive used. A directive with
-// a missing reason still suppresses — the missing reason is reported
-// once, by Finish, at the directive itself.
-func (s *Suppressor) Suppressed(pos token.Pos) bool {
-	if d := s.at(pos, "ignore"); d != nil {
-		d.used = true
-		return true
 	}
 	return false
 }
 
-// Justified looks for an analyzer-specific directive of the given kind
-// (e.g. "commutative") at pos, marking it used.
-func (s *Suppressor) Justified(pos token.Pos, kind string) (*Directive, bool) {
-	if d := s.at(pos, kind); d != nil {
-		d.used = true
-		return d, true
-	}
-	return nil, false
-}
+// suppressed reports whether a //lint:ignore directive covers pos.
+func (s *suppressor) suppressed(pos token.Pos) bool { return s.mark(pos, "ignore") }
 
-// Finish reports the directives that are defective: a missing
-// justification, or a directive that suppressed nothing (stale escape).
-// Call it once, at the end of the analyzer's run.
-func (s *Suppressor) Finish() {
+// finish reports the defective directives: a missing justification, or
+// a directive that suppressed nothing (stale escape).
+func (s *suppressor) finish(report func(token.Pos, string)) {
 	for _, d := range s.directives {
-		if InTestFile(s.pass, d.Pos) {
-			continue
+		verb := "//lint:ignore " + d.analyzer
+		if d.kind != "ignore" {
+			verb = "//lint:" + d.analyzer + " " + d.kind
 		}
-		verb := "//lint:" + "ignore " + d.Analyzer
-		if d.Kind != "ignore" {
-			verb = "//lint:" + d.Analyzer + " " + d.Kind
-		}
-		if d.used && d.Reason == "" {
-			s.pass.Reportf(d.Pos, "%s needs a written justification: %s — <reason>", verb, verb)
+		if d.used && d.reason == "" {
+			report(d.pos, verb+" needs a written justification: "+verb+" — <reason>")
 		}
 		if !d.used {
-			s.pass.Reportf(d.Pos, "unused %s directive: no %s diagnostic here to suppress (delete it, or it hides a future regression)", verb, s.analyzer)
+			report(d.pos, "unused "+verb+" directive: no "+s.analyzer+" diagnostic here to suppress (delete it, or it hides a future regression)")
 		}
 	}
 }

@@ -2,19 +2,18 @@ package lintutil
 
 import (
 	"encoding/json"
+	"fmt"
 	"go/token"
 	"io"
 	"sort"
 	"strings"
-
-	"golang.org/x/tools/go/analysis"
 )
 
-// The machine-readable diagnostics plane: every p2plint mode that emits
-// findings for CI (cmd/p2plint -json) flattens analysis.Diagnostics into
-// Finding records — one JSON object per diagnostic with a stable field
-// set and a stable sort — so the findings file diffs cleanly between
-// runs and uploads as a build artifact.
+// The findings plane: cmd/p2plint flattens every diagnostic into a
+// Finding record — printed as one file:line:col: analyzer: message
+// line, or with -json as one JSON object with a stable field set and a
+// stable sort — so the findings file diffs cleanly between runs and
+// uploads as a build artifact.
 
 // Finding is one diagnostic in the machine-readable output.
 type Finding struct {
@@ -23,26 +22,17 @@ type Finding struct {
 	Col      int    `json:"col"`
 	Analyzer string `json:"analyzer"`
 	Message  string `json:"message"`
-	// SuggestedFix carries the first suggested fix's message when the
-	// analyzer attached one (the fix edits themselves stay in the
-	// analysis framework; the record names the remedy).
-	SuggestedFix string `json:"suggested_fix,omitempty"`
 }
 
 // NewFinding flattens one diagnostic.
-func NewFinding(fset *token.FileSet, analyzer string, d analysis.Diagnostic) Finding {
-	pos := fset.Position(d.Pos)
-	f := Finding{
-		File:     pos.Filename,
-		Line:     pos.Line,
-		Col:      pos.Column,
-		Analyzer: analyzer,
-		Message:  d.Message,
-	}
-	if len(d.SuggestedFixes) > 0 {
-		f.SuggestedFix = d.SuggestedFixes[0].Message
-	}
-	return f
+func NewFinding(fset *token.FileSet, analyzer string, pos token.Pos, msg string) Finding {
+	p := fset.Position(pos)
+	return Finding{File: p.Filename, Line: p.Line, Col: p.Column, Analyzer: analyzer, Message: msg}
+}
+
+// String renders the finding as file:line:col: analyzer: message.
+func (f Finding) String() string {
+	return fmt.Sprintf("%s:%d:%d: %s: %s", f.File, f.Line, f.Col, f.Analyzer, f.Message)
 }
 
 // SortFindings orders findings by file, line, column, analyzer, message

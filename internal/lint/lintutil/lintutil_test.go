@@ -3,11 +3,11 @@ package lintutil_test
 import (
 	"bytes"
 	"go/ast"
+	"go/parser"
 	"go/token"
+	"go/types"
 	"strings"
 	"testing"
-
-	"golang.org/x/tools/go/analysis"
 
 	"repro/internal/lint/linttest"
 	"repro/internal/lint/lintutil"
@@ -16,11 +16,10 @@ import (
 // toycheck reports every call to a function literally named "flagme",
 // honoring the lintutil suppression plane. It exists to test the plane,
 // not the finding.
-var toycheck = &analysis.Analyzer{
+var toycheck = &lintutil.Analyzer{
 	Name: "toycheck",
 	Doc:  "test analyzer for the //lint:ignore suppression plane",
-	Run: func(pass *analysis.Pass) (any, error) {
-		sup := lintutil.NewSuppressor(pass, "toycheck")
+	Run: func(pass *lintutil.Pass) {
 		for _, f := range pass.Files {
 			ast.Inspect(f, func(n ast.Node) bool {
 				call, ok := n.(*ast.CallExpr)
@@ -28,15 +27,11 @@ var toycheck = &analysis.Analyzer{
 					return true
 				}
 				if id, ok := call.Fun.(*ast.Ident); ok && id.Name == "flagme" {
-					if !sup.Suppressed(call.Pos()) {
-						pass.Reportf(call.Pos(), "call to flagme")
-					}
+					pass.Reportf(call.Pos(), "call to flagme")
 				}
 				return true
 			})
 		}
-		sup.Finish()
-		return nil, nil
 	},
 }
 
@@ -54,17 +49,8 @@ func TestWriteFindings(t *testing.T) {
 	pos := func(line, col int) token.Pos { return f.LineStart(line) + token.Pos(col-1) }
 
 	findings := []lintutil.Finding{
-		lintutil.NewFinding(fset, "maporder", analysis.Diagnostic{
-			Pos:     pos(42, 2),
-			Message: "range over map st.summaries: iteration order can escape",
-			SuggestedFixes: []analysis.SuggestedFix{
-				{Message: "iterate sortedKeys(st.summaries)"},
-			},
-		}),
-		lintutil.NewFinding(fset, "clockcheck", analysis.Diagnostic{
-			Pos:     pos(7, 1),
-			Message: "time.Now in deterministic package",
-		}),
+		lintutil.NewFinding(fset, "maporder", pos(42, 2), "range over map st.summaries: iteration order can escape"),
+		lintutil.NewFinding(fset, "clockcheck", pos(7, 1), "time.Now in deterministic package"),
 	}
 	lintutil.TrimRoot(findings, "/repo")
 
@@ -86,8 +72,7 @@ func TestWriteFindings(t *testing.T) {
     "line": 42,
     "col": 2,
     "analyzer": "maporder",
-    "message": "range over map st.summaries: iteration order can escape",
-    "suggested_fix": "iterate sortedKeys(st.summaries)"
+    "message": "range over map st.summaries: iteration order can escape"
   }
 ]
 `
@@ -103,5 +88,66 @@ func TestWriteFindingsEmpty(t *testing.T) {
 	}
 	if strings.TrimSpace(buf.String()) != "[]" {
 		t.Errorf("empty findings must encode as [], got %q", buf.String())
+	}
+}
+
+// TestStaticCallee pins the callee resolution clockcheck and replaysafe
+// rely on: explicit and inferred generic instantiations resolve to the
+// generic declaration; interface-method calls, builtins, conversions and
+// function values resolve to nil.
+func TestStaticCallee(t *testing.T) {
+	const src = `package p
+
+type I interface{ M() }
+type T struct{ f func() }
+
+func (T) M()              {}
+func G[X any](x X)        {}
+func H[X, Y any]()        {}
+func plain()              {}
+
+func calls(i I, t T, fv func(), fs []func()) {
+	plain()
+	G(1)
+	G[int](1)
+	(G[string])("s")
+	H[int, bool]()
+	t.M()
+	T.M(t)
+	i.M()
+	t.f()
+	fv()
+	fs[0]()
+	_ = len(fs)
+	_ = int64(1)
+}
+`
+	fset := token.NewFileSet()
+	f, err := parser.ParseFile(fset, "p.go", src, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	info := &types.Info{
+		Types:      map[ast.Expr]types.TypeAndValue{},
+		Uses:       map[*ast.Ident]types.Object{},
+		Selections: map[*ast.SelectorExpr]*types.Selection{},
+	}
+	if _, err := (&types.Config{}).Check("p", fset, []*ast.File{f}, info); err != nil {
+		t.Fatal(err)
+	}
+	want := []string{"plain", "G", "G", "G", "H", "M", "M", "", "", "", "", "", ""}
+	var got []string
+	ast.Inspect(f, func(n ast.Node) bool {
+		if call, ok := n.(*ast.CallExpr); ok {
+			name := ""
+			if fn := lintutil.StaticCallee(info, call); fn != nil {
+				name = fn.Name()
+			}
+			got = append(got, name)
+		}
+		return true
+	})
+	if strings.Join(got, ",") != strings.Join(want, ",") {
+		t.Errorf("callees = %q, want %q", got, want)
 	}
 }

@@ -15,7 +15,7 @@
 // stronger requirement: only the full Lock qualifies, since writing
 // under an RLock races with every other reader. Anything else is
 // reported.
-// Suppress a deliberate exception with //lint:allow lockfield <reason>.
+// Suppress a deliberate exception with //lint:ignore lockfield — <reason>.
 //
 // The analyzer also reports annotations it cannot honor: a
 // "guarded by mu" comment on a field of a struct that has no mu field.
@@ -27,30 +27,19 @@ import (
 	"go/types"
 	"strings"
 
-	"golang.org/x/tools/go/analysis"
-	"golang.org/x/tools/go/analysis/passes/inspect"
-	"golang.org/x/tools/go/ast/inspector"
-
 	"repro/internal/lint/lintutil"
 )
 
 const doc = `check that fields annotated "guarded by mu" are accessed under the mutex
 
-See package documentation. Suppress with //lint:allow lockfield <reason>.`
+See package documentation. Suppress with //lint:ignore lockfield — <reason>.`
 
 // Annotation is the comment marker, matched case-insensitively anywhere
 // in the field's trailing or doc comment.
 const Annotation = "guarded by mu"
 
-const name = "lockfield"
-
 // Analyzer is the lockfield pass.
-var Analyzer = &analysis.Analyzer{
-	Name:     name,
-	Doc:      doc,
-	Requires: []*analysis.Analyzer{inspect.Analyzer},
-	Run:      run,
-}
+var Analyzer = &lintutil.Analyzer{Name: "lockfield", Doc: doc, Run: run}
 
 // guardedField identifies one annotated field as (struct type, field
 // index) in the struct's field order.
@@ -59,14 +48,10 @@ type guardedField struct {
 	index int
 }
 
-func run(pass *analysis.Pass) (any, error) {
-	ins := pass.ResultOf[inspect.Analyzer].(*inspector.Inspector)
-	guardedSet := collect(pass, ins)
-	if len(guardedSet) == 0 {
-		return nil, nil
+func run(pass *lintutil.Pass) {
+	if guardedSet := collect(pass); len(guardedSet) > 0 {
+		checkAccesses(pass, guardedSet)
 	}
-	checkAccesses(pass, ins, guardedSet)
-	return nil, nil
 }
 
 // hasComment reports whether the field's doc or trailing comment
@@ -82,61 +67,70 @@ func hasComment(f *ast.Field) bool {
 
 // collect finds annotated fields and validates that their structs carry
 // a mu field to be guarded by.
-func collect(pass *analysis.Pass, ins *inspector.Inspector) map[guardedField]bool {
+func collect(pass *lintutil.Pass) map[guardedField]bool {
 	out := map[guardedField]bool{}
-	ins.Preorder([]ast.Node{(*ast.TypeSpec)(nil)}, func(n ast.Node) {
-		ts := n.(*ast.TypeSpec)
-		st, ok := ts.Type.(*ast.StructType)
-		if !ok {
-			return
-		}
-		obj, ok := pass.TypesInfo.Defs[ts.Name]
-		if !ok {
-			return
-		}
-		named, ok := types.Unalias(obj.Type()).(*types.Named)
-		if !ok {
-			return
-		}
-		hasMu := false
-		idx := 0
-		for _, f := range st.Fields.List {
-			n := len(f.Names)
-			if n == 0 {
-				n = 1 // embedded field
+	for _, f := range pass.Files {
+		ast.Inspect(f, func(n ast.Node) bool {
+			if ts, ok := n.(*ast.TypeSpec); ok {
+				collectStruct(pass, ts, out)
 			}
-			for _, name := range f.Names {
-				if name.Name == "mu" {
-					hasMu = true
-				}
-			}
-			if hasComment(f) {
-				for k := 0; k < n; k++ {
-					out[guardedField{named, idx + k}] = true
-				}
-				if !hasMu { // mu must precede the fields it guards
-					pass.Reportf(f.Pos(),
-						"field of %s is annotated %q but no mu field precedes it in the struct",
-						named.Obj().Name(), Annotation)
-				}
-			}
-			idx += n
-		}
-	})
+			return true
+		})
+	}
 	return out
+}
+
+// collectStruct records the annotated fields of one struct type.
+func collectStruct(pass *lintutil.Pass, ts *ast.TypeSpec, out map[guardedField]bool) {
+	st, ok := ts.Type.(*ast.StructType)
+	if !ok {
+		return
+	}
+	obj, ok := pass.TypesInfo.Defs[ts.Name]
+	if !ok {
+		return
+	}
+	named, ok := types.Unalias(obj.Type()).(*types.Named)
+	if !ok {
+		return
+	}
+	hasMu := false
+	idx := 0
+	for _, f := range st.Fields.List {
+		n := len(f.Names)
+		if n == 0 {
+			n = 1 // embedded field
+		}
+		for _, name := range f.Names {
+			if name.Name == "mu" {
+				hasMu = true
+			}
+		}
+		if hasComment(f) {
+			for k := 0; k < n; k++ {
+				out[guardedField{named, idx + k}] = true
+			}
+			if !hasMu { // mu must precede the fields it guards
+				pass.Reportf(f.Pos(),
+					"field of %s is annotated %q but no mu field precedes it in the struct",
+					named.Obj().Name(), Annotation)
+			}
+		}
+		idx += n
+	}
 }
 
 // checkAccesses walks every selector that resolves to an annotated field
 // (directly or through promotion) and verifies the lock discipline.
-func checkAccesses(pass *analysis.Pass, ins *inspector.Inspector, guardedSet map[guardedField]bool) {
-	ins.WithStack([]ast.Node{(*ast.SelectorExpr)(nil)}, func(n ast.Node, push bool, stack []ast.Node) bool {
-		if !push {
-			return true
+func checkAccesses(pass *lintutil.Pass, guardedSet map[guardedField]bool) {
+	lintutil.WithStack(pass.Files, func(n ast.Node, stack []ast.Node) {
+		se, ok := n.(*ast.SelectorExpr)
+		if !ok {
+			return
 		}
-		se := n.(*ast.SelectorExpr)
 		selection, ok := pass.TypesInfo.Selections[se]
 		if !ok || selection.Kind() != types.FieldVal || len(selection.Index()) == 0 {
-			return true
+			return
 		}
 		recvType := types.Unalias(selection.Recv())
 		if p, isPtr := recvType.(*types.Pointer); isPtr {
@@ -144,25 +138,21 @@ func checkAccesses(pass *analysis.Pass, ins *inspector.Inspector, guardedSet map
 		}
 		named, ok := recvType.(*types.Named)
 		if !ok || !guardedSet[guardedField{named, selection.Index()[0]}] {
-			return true
+			return
 		}
 		write := isWrite(pass, stack, se)
-		if lockHeld(pass, stack, lintutil.ExprString(se.X), write) {
-			return true
+		if lockHeld(stack, lintutil.ExprString(se.X), write) {
+			return
 		}
-		if lintutil.InTestFile(pass, se.Pos()) || lintutil.Allowed(pass, se.Pos(), name) {
-			return true
-		}
-		if write && lockHeld(pass, stack, lintutil.ExprString(se.X), false) {
+		if write && lockHeld(stack, lintutil.ExprString(se.X), false) {
 			pass.Reportf(se.Pos(),
 				"%s.%s is guarded by mu but written with only %s.mu.RLock held (writes need the full Lock)",
 				named.Obj().Name(), se.Sel.Name, lintutil.ExprString(se.X))
-			return true
+			return
 		}
 		pass.Reportf(se.Pos(),
 			"%s.%s is guarded by mu but accessed without %s.mu held (lock first, or name the helper *Locked)",
 			named.Obj().Name(), se.Sel.Name, lintutil.ExprString(se.X))
-		return true
 	})
 }
 
@@ -171,7 +161,7 @@ func checkAccesses(pass *analysis.Pass, ins *inspector.Inspector, guardedSet map
 // sub-field, or a dereference), an increment/decrement, an address-of
 // (the pointer can be written through later), or the map argument of
 // delete.
-func isWrite(pass *analysis.Pass, stack []ast.Node, se *ast.SelectorExpr) bool {
+func isWrite(pass *lintutil.Pass, stack []ast.Node, se *ast.SelectorExpr) bool {
 	var cur ast.Node = se
 	for i := len(stack) - 2; i >= 0; i-- {
 		switch p := stack[i].(type) {
@@ -217,7 +207,7 @@ func isWrite(pass *analysis.Pass, stack []ast.Node, se *ast.SelectorExpr) bool {
 // lockHeld applies the heuristic: the enclosing function locked
 // <recv>.mu before this position (for writes only the full Lock
 // qualifies; reads also accept RLock), or is a *Locked helper.
-func lockHeld(pass *analysis.Pass, stack []ast.Node, recv string, write bool) bool {
+func lockHeld(stack []ast.Node, recv string, write bool) bool {
 	var fn ast.Node
 	for _, n := range stack {
 		switch n.(type) {

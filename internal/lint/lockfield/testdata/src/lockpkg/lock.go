@@ -81,7 +81,7 @@ func (s *Store) Sum() int {
 
 // Snapshot documents a deliberate unlocked read via the escape hatch.
 func (s *Store) Snapshot() int {
-	//lint:allow lockfield single-writer phase before the store is shared
+	//lint:ignore lockfield — single-writer phase before the store is shared
 	return s.hits
 }
 

@@ -39,6 +39,7 @@ import (
 	"sort"
 	"strings"
 
+	"repro/internal/lint/lintutil"
 	"repro/internal/lint/srcload"
 )
 
@@ -46,6 +47,9 @@ import (
 // witness chain that realizes the nesting.
 type Edge struct {
 	From, To string
+	// Pos is where the holder of From acquires To or calls toward it:
+	// the first step of Witness.
+	Pos token.Pos
 	// Witness is the acquisition path: file:line-annotated steps from
 	// the function that holds From down to the acquisition of To.
 	Witness []string
@@ -340,7 +344,7 @@ func (c *collector) expr(e ast.Expr, held *[]string) {
 
 // callEvent records a statically resolvable call to a module function.
 func (c *collector) callEvent(call *ast.CallExpr, held *[]string) {
-	fn := c.staticCallee(call)
+	fn := lintutil.StaticCallee(c.info, call)
 	if fn == nil {
 		return
 	}
@@ -348,28 +352,6 @@ func (c *collector) callEvent(call *ast.CallExpr, held *[]string) {
 		kind: evCall, callee: fn,
 		held: append([]string(nil), *held...), pos: call.Pos(),
 	})
-}
-
-func (c *collector) staticCallee(call *ast.CallExpr) *types.Func {
-	switch fun := call.Fun.(type) {
-	case *ast.Ident:
-		fn, _ := c.info.Uses[fun].(*types.Func)
-		return fn
-	case *ast.SelectorExpr:
-		if sel, ok := c.info.Selections[fun]; ok {
-			if sel.Kind() != types.MethodVal {
-				return nil
-			}
-			if _, isIface := sel.Recv().Underlying().(*types.Interface); isIface {
-				return nil // dynamic dispatch: not traced
-			}
-			fn, _ := sel.Obj().(*types.Func)
-			return fn
-		}
-		fn, _ := c.info.Uses[fun.Sel].(*types.Func) // pkg-qualified call
-		return fn
-	}
-	return nil
 }
 
 // release drops the most recent acquisition of lock.
@@ -519,13 +501,13 @@ func (c *collector) graph() *Result {
 
 	res := &Result{Edges: map[string]*Edge{}}
 	lockSet := map[string]bool{}
-	addEdge := func(from, to string, witness []string) {
+	addEdge := func(from, to string, pos token.Pos, witness []string) {
 		if from == to {
 			return // same declaration site: instance order, not rank order
 		}
 		key := from + "\x00" + to
 		if _, ok := res.Edges[key]; !ok {
-			res.Edges[key] = &Edge{From: from, To: to, Witness: witness}
+			res.Edges[key] = &Edge{From: from, To: to, Pos: pos, Witness: witness}
 		}
 	}
 	emit := func(fi *funcInfo) {
@@ -534,7 +516,7 @@ func (c *collector) graph() *Result {
 			case evAcquire:
 				lockSet[ev.lock] = true
 				for _, h := range ev.held {
-					addEdge(h, ev.lock, []string{c.step(ev.pos, fi.name+" acquires "+ev.lock+" while holding "+h)})
+					addEdge(h, ev.lock, ev.pos, []string{c.step(ev.pos, fi.name+" acquires "+ev.lock+" while holding "+h)})
 				}
 			case evCall:
 				if len(ev.held) == 0 {
@@ -547,7 +529,7 @@ func (c *collector) graph() *Result {
 				for _, lock := range sortedKeys(sub) {
 					for _, h := range ev.held {
 						w := append([]string{c.step(ev.pos, fi.name+" calls "+funcName(ev.callee)+" while holding "+h)}, sub[lock]...)
-						addEdge(h, lock, w)
+						addEdge(h, lock, ev.pos, w)
 					}
 				}
 			}
@@ -774,26 +756,7 @@ func Diff(want, got string) string {
 }
 
 // Scope is the default package filter: the runtime tree, excluding the
-// analyzers themselves (they hold no runtime locks and pull the
-// vendored x/tools sources into the type-check for no benefit).
+// analyzers themselves (they hold no runtime locks).
 func Scope(rel string) bool {
 	return strings.HasPrefix(rel, "internal/") && !strings.HasPrefix(rel, "internal/lint")
-}
-
-// Run loads the module at root and analyzes it under Scope.
-func Run(root string) (*Result, error) {
-	fset := token.NewFileSet()
-	pkgs, err := srcload.Load(&srcload.Config{
-		Fset:   fset,
-		Root:   root,
-		Module: "repro",
-		Only:   Scope,
-	})
-	if err != nil {
-		return nil, err
-	}
-	if len(pkgs) == 0 {
-		return nil, fmt.Errorf("lockorder: no packages loaded under %s", root)
-	}
-	return Analyze(fset, pkgs), nil
 }

@@ -10,21 +10,24 @@ import (
 	"repro/internal/lint/srcload"
 )
 
-// loadFixture type-checks one testdata package through the same loader
-// the real analysis uses.
-func loadFixture(t *testing.T, pkg string) *lockorder.Result {
+// analyze loads the packages under root that only selects, through the
+// loader the real analysis uses, and builds their lock graph.
+func analyze(t *testing.T, root, module string, only func(rel string) bool) *lockorder.Result {
 	t.Helper()
 	fset := token.NewFileSet()
-	pkgs, err := srcload.Load(&srcload.Config{
-		Fset:   fset,
-		Root:   "testdata/src",
-		Module: "p2plint.example",
-		Only:   func(rel string) bool { return rel == pkg },
-	})
+	pkgs, err := srcload.Load(&srcload.Config{Fset: fset, Root: root, Module: module, Only: only})
 	if err != nil {
-		t.Fatalf("loading fixture %s: %v", pkg, err)
+		t.Fatalf("loading %s: %v", root, err)
+	}
+	if len(pkgs) == 0 {
+		t.Fatalf("no packages loaded under %s", root)
 	}
 	return lockorder.Analyze(fset, pkgs)
+}
+
+// loadFixture analyzes one testdata package.
+func loadFixture(t *testing.T, pkg string) *lockorder.Result {
+	return analyze(t, "testdata/src", "p2plint.example", func(rel string) bool { return rel == pkg })
 }
 
 // TestSeededInversion proves the analyzer catches a deliberate
@@ -90,10 +93,7 @@ func TestConsistentOrder(t *testing.T) {
 // the graph of the tree as it is. A mismatch means a lock or a nesting
 // changed — review it, then `make lockorder-golden`.
 func TestOrderGolden(t *testing.T) {
-	res, err := lockorder.Run("../../..")
-	if err != nil {
-		t.Fatalf("analyzing repo: %v", err)
-	}
+	res := analyze(t, "../../..", "repro", lockorder.Scope)
 	if len(res.Cycles) > 0 {
 		t.Fatalf("lock-order cycles in the tree:\n%s", res.CycleReport())
 	}

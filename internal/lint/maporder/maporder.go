@@ -11,10 +11,9 @@
 // loop body: the loop is accepted only when every statement flows into a
 // provably commutative sink. The value-flow lattice is intentionally
 // small (this is the subset of an SSA effects analysis the proof
-// actually needs — the full golang.org/x/tools/go/ssa builder cannot be
-// vendored into this module's offline build, so the classifier works on
-// the type-checked AST with an explicit assigned-variables analysis
-// standing in for SSA def-use chains):
+// actually needs — the module builds on the standard library alone, so
+// the classifier works on the type-checked AST with an explicit
+// assigned-variables analysis standing in for SSA def-use chains):
 //
 //   - commutative accumulation: x++, x--, and x += / -= / *= / |= / &=
 //     / ^= / &^= on numeric lvalues, provided the right-hand side does
@@ -51,73 +50,57 @@ import (
 	"go/types"
 	"strings"
 
-	"golang.org/x/tools/go/analysis"
-	"golang.org/x/tools/go/analysis/passes/inspect"
-	"golang.org/x/tools/go/ast/inspector"
-
 	"repro/internal/lint/lintutil"
 )
 
 const doc = `prove map-range loops order-insensitive in determinism-critical packages
 
-Packages listed in -critical (path suffixes) must stay byte-reproducible:
+The critical packages (path suffixes) must stay byte-reproducible:
 a range over a map is reported unless the loop body provably flows only
 into order-insensitive sinks (commutative accumulation, set membership,
 writes keyed by the iteration key) or carries an explicit
 //lint:maporder commutative — <reason> justification.`
 
-const name = "maporder"
-
 // Analyzer is the maporder pass.
-var Analyzer = &analysis.Analyzer{
-	Name:     name,
-	Doc:      doc,
-	Requires: []*analysis.Analyzer{inspect.Analyzer},
-	Run:      run,
-}
+var Analyzer = &lintutil.Analyzer{Name: "maporder", Doc: doc, Run: run}
 
 // critical lists the determinism-critical package-path suffixes — the
 // marker set shared with clockcheck, plus the replay plane whose
 // divergence reports must themselves be reproducible.
-var critical = "internal/core,internal/sim,internal/graph,internal/sched,internal/netsim,internal/replay,internal/scenario,internal/dht"
-
-func init() {
-	Analyzer.Flags.StringVar(&critical, "critical", critical,
-		"comma-separated package path suffixes that must stay byte-reproducible")
+var critical = []string{
+	"internal/core", "internal/sim", "internal/graph", "internal/sched",
+	"internal/netsim", "internal/replay", "internal/scenario", "internal/dht",
 }
 
-func run(pass *analysis.Pass) (any, error) {
-	if !lintutil.PkgMatch(pass.Pkg.Path(), strings.Split(critical, ",")) {
-		return nil, nil
+func run(pass *lintutil.Pass) {
+	if !lintutil.PkgMatch(pass.Pkg.Path(), critical) {
+		return
 	}
-	sup := lintutil.NewSuppressor(pass, name)
-	ins := pass.ResultOf[inspect.Analyzer].(*inspector.Inspector)
-	ins.Preorder([]ast.Node{(*ast.RangeStmt)(nil)}, func(n ast.Node) {
-		rng := n.(*ast.RangeStmt)
-		if !isMapRange(pass, rng) || lintutil.InTestFile(pass, rng.Pos()) {
-			return
-		}
-		c := newChecker(pass, rng)
-		bad, why := c.bodyOK(rng.Body)
-		if bad == nil {
-			return // proven order-insensitive; an unused justification here is flagged by sup.Finish
-		}
-		if _, ok := sup.Justified(rng.Pos(), "commutative"); ok {
-			return
-		}
-		if sup.Suppressed(rng.Pos()) {
-			return
-		}
-		pass.Reportf(rng.Pos(),
-			"range over map %s: iteration order can escape (%s at %s); iterate a sorted key slice, or justify with //lint:maporder commutative — <reason>",
-			types.ExprString(rng.X), why, pass.Fset.Position(bad.Pos()))
-	})
-	sup.Finish()
-	return nil, nil
+	for _, f := range pass.Files {
+		ast.Inspect(f, func(n ast.Node) bool {
+			if rng, ok := n.(*ast.RangeStmt); ok && isMapRange(pass, rng) {
+				checkRange(pass, rng)
+			}
+			return true
+		})
+	}
+}
+
+// checkRange reports a map-range loop the classifier cannot prove
+// order-insensitive and no directive justifies. A justification on a
+// proven loop stays unused and is reported as such.
+func checkRange(pass *lintutil.Pass, rng *ast.RangeStmt) {
+	bad, why := newChecker(pass, rng).bodyOK(rng.Body)
+	if bad == nil || pass.Justified(rng.Pos(), "commutative") {
+		return
+	}
+	pass.Reportf(rng.Pos(),
+		"range over map %s: iteration order can escape (%s at %s); iterate a sorted key slice, or justify with //lint:maporder commutative — <reason>",
+		types.ExprString(rng.X), why, pass.Fset.Position(bad.Pos()))
 }
 
 // isMapRange reports whether the range expression has map type.
-func isMapRange(pass *analysis.Pass, rng *ast.RangeStmt) bool {
+func isMapRange(pass *lintutil.Pass, rng *ast.RangeStmt) bool {
 	tv, ok := pass.TypesInfo.Types[rng.X]
 	if !ok {
 		return false
@@ -128,7 +111,7 @@ func isMapRange(pass *analysis.Pass, rng *ast.RangeStmt) bool {
 
 // checker carries the per-loop proof state.
 type checker struct {
-	pass *analysis.Pass
+	pass *lintutil.Pass
 	rng  *ast.RangeStmt
 	// keyVar/valVar are the iteration variables (per-iteration since
 	// go1.22); nil when anonymous.
@@ -142,7 +125,7 @@ type checker struct {
 	mutated map[string]bool
 }
 
-func newChecker(pass *analysis.Pass, rng *ast.RangeStmt) *checker {
+func newChecker(pass *lintutil.Pass, rng *ast.RangeStmt) *checker {
 	c := &checker{pass: pass, rng: rng, mutated: map[string]bool{}}
 	c.keyVar = c.loopVar(rng.Key)
 	c.valVar = c.loopVar(rng.Value)

@@ -7,49 +7,34 @@
 //     Prometheus naming charset;
 //   - every metrics.Labels composite literal must use compile-time
 //     constant keys drawn from the bounded, registry-wide label set
-//     (-labels flag), so a scrape can never discover an unbounded or
+//     (labelKeys), so a scrape can never discover an unbounded or
 //     misspelled label dimension.
 //
 // Label values stay free: they are runtime data (domain and peer IDs).
 // Suppress a deliberate exception (e.g. a funnel helper whose callers
-// all pass constants) with //lint:allow metriclabel <reason>.
+// all pass constants) with //lint:ignore metriclabel — <reason>.
 package metriclabel
 
 import (
 	"go/ast"
 	"go/constant"
 	"regexp"
+	"slices"
 	"strings"
-
-	"golang.org/x/tools/go/analysis"
-	"golang.org/x/tools/go/analysis/passes/inspect"
-	"golang.org/x/tools/go/ast/inspector"
 
 	"repro/internal/lint/lintutil"
 )
 
 const doc = `require constant metric names and a bounded label-key set at registry call sites
 
-See package documentation. Suppress with //lint:allow metriclabel <reason>.`
-
-const name = "metriclabel"
+See package documentation. Suppress with //lint:ignore metriclabel — <reason>.`
 
 // Analyzer is the metriclabel pass.
-var Analyzer = &analysis.Analyzer{
-	Name:     name,
-	Doc:      doc,
-	Requires: []*analysis.Analyzer{inspect.Analyzer},
-	Run:      run,
-}
+var Analyzer = &lintutil.Analyzer{Name: "metriclabel", Doc: doc, Run: run}
 
 // labelKeys is the registry-wide bounded set of permitted label keys.
 // "reason" labels the live transport's drop-reason counters.
-var labelKeys = "domain,peer,node,result,reason"
-
-func init() {
-	Analyzer.Flags.StringVar(&labelKeys, "labels", labelKeys,
-		"comma-separated set of permitted metric label keys")
-}
+var labelKeys = []string{"domain", "peer", "node", "result", "reason"}
 
 // nameRe is the Prometheus metric-name charset.
 var nameRe = regexp.MustCompile(`^[a-zA-Z_:][a-zA-Z0-9_:]*$`)
@@ -58,28 +43,23 @@ var nameRe = regexp.MustCompile(`^[a-zA-Z_:][a-zA-Z0-9_:]*$`)
 // their name argument (help is always name+1).
 var registryMethods = map[string]bool{"Counter": true, "Gauge": true, "Histogram": true}
 
-func run(pass *analysis.Pass) (any, error) {
-	allowed := map[string]bool{}
-	for _, k := range strings.Split(labelKeys, ",") {
-		if k = strings.TrimSpace(k); k != "" {
-			allowed[k] = true
-		}
+func run(pass *lintutil.Pass) {
+	for _, f := range pass.Files {
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.CallExpr:
+				checkRegistryCall(pass, n)
+			case *ast.CompositeLit:
+				checkLabelsLiteral(pass, n)
+			}
+			return true
+		})
 	}
-	ins := pass.ResultOf[inspect.Analyzer].(*inspector.Inspector)
-	ins.Preorder([]ast.Node{(*ast.CallExpr)(nil), (*ast.CompositeLit)(nil)}, func(n ast.Node) {
-		switch n := n.(type) {
-		case *ast.CallExpr:
-			checkRegistryCall(pass, n)
-		case *ast.CompositeLit:
-			checkLabelsLiteral(pass, n, allowed)
-		}
-	})
-	return nil, nil
 }
 
 // checkRegistryCall enforces constant name/help arguments on the
 // instrument constructors.
-func checkRegistryCall(pass *analysis.Pass, call *ast.CallExpr) {
+func checkRegistryCall(pass *lintutil.Pass, call *ast.CallExpr) {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
 	if !ok || !registryMethods[sel.Sel.Name] || len(call.Args) < 2 {
 		return
@@ -92,9 +72,6 @@ func checkRegistryCall(pass *analysis.Pass, call *ast.CallExpr) {
 		arg := call.Args[i]
 		av := pass.TypesInfo.Types[arg]
 		if av.Value == nil {
-			if lintutil.InTestFile(pass, arg.Pos()) || lintutil.Allowed(pass, arg.Pos(), name) {
-				continue
-			}
 			pass.Reportf(arg.Pos(),
 				"metric %s argument to Registry.%s must be a compile-time constant so the family set stays bounded",
 				what, sel.Sel.Name)
@@ -102,9 +79,6 @@ func checkRegistryCall(pass *analysis.Pass, call *ast.CallExpr) {
 		}
 		if what == "name" && av.Value.Kind() == constant.String {
 			if metricName := constant.StringVal(av.Value); !nameRe.MatchString(metricName) {
-				if lintutil.InTestFile(pass, arg.Pos()) || lintutil.Allowed(pass, arg.Pos(), name) {
-					continue
-				}
 				pass.Reportf(arg.Pos(), "metric name %q is not a valid Prometheus metric name", metricName)
 			}
 		}
@@ -113,7 +87,7 @@ func checkRegistryCall(pass *analysis.Pass, call *ast.CallExpr) {
 
 // checkLabelsLiteral enforces constant, bounded keys on metrics.Labels
 // literals.
-func checkLabelsLiteral(pass *analysis.Pass, lit *ast.CompositeLit, allowed map[string]bool) {
+func checkLabelsLiteral(pass *lintutil.Pass, lit *ast.CompositeLit) {
 	tv, ok := pass.TypesInfo.Types[lit]
 	if !ok || !lintutil.IsNamed(tv.Type, "internal/metrics", "Labels") {
 		return
@@ -123,18 +97,15 @@ func checkLabelsLiteral(pass *analysis.Pass, lit *ast.CompositeLit, allowed map[
 		if !ok {
 			continue
 		}
-		if lintutil.InTestFile(pass, kv.Pos()) || lintutil.Allowed(pass, kv.Pos(), name) {
-			continue
-		}
 		kval := pass.TypesInfo.Types[kv.Key]
 		if kval.Value == nil || kval.Value.Kind() != constant.String {
 			pass.Reportf(kv.Key.Pos(), "metrics.Labels key must be a compile-time string constant")
 			continue
 		}
-		if key := constant.StringVal(kval.Value); !allowed[key] {
+		if key := constant.StringVal(kval.Value); !slices.Contains(labelKeys, key) {
 			pass.Reportf(kv.Key.Pos(),
-				"metrics.Labels key %q is outside the bounded label set (%s); grow it deliberately via -metriclabel.labels",
-				key, labelKeys)
+				"metrics.Labels key %q is outside the bounded label set (%s); grow it deliberately in metriclabel's labelKeys",
+				key, strings.Join(labelKeys, ","))
 		}
 	}
 }

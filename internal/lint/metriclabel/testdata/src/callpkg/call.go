@@ -76,6 +76,6 @@ func dynamicKey(r *metrics.Registry, k, v string) {
 }
 
 func funnel(r *metrics.Registry, name, help string) {
-	//lint:allow metriclabel fixture: funnel whose callers pass constants
+	//lint:ignore metriclabel — fixture: funnel whose callers pass constants
 	r.Counter(name, help, nil).Inc()
 }

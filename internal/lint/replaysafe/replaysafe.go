@@ -15,26 +15,19 @@ import (
 	"go/types"
 	"strings"
 
-	"golang.org/x/tools/go/analysis"
-	"golang.org/x/tools/go/analysis/passes/inspect"
-	"golang.org/x/tools/go/ast/inspector"
-	"golang.org/x/tools/go/types/typeutil"
-
 	"repro/internal/lint/lintutil"
 )
 
 const doc = `forbid direct wall-clock reads on recorded delivery paths
 
-Packages listed in -recorded (path suffixes) host the flight recorder's
+The recorded packages (path suffixes) host the flight recorder's
 hook points. Functions whose doc comment carries the replay:recorded
 marker form the recorded delivery paths: every value they observe must
 be reproducible from the log, so time.Now / time.Since / time.Until are
 reported there — read the latched node clock or live.Nanotime instead.
 Timer constructors (time.AfterFunc) stay legal: the recorder logs each
 firing, not the arming. Suppress a deliberate crossing with
-//lint:allow replaysafe <reason>.`
-
-const name = "replaysafe"
+//lint:ignore replaysafe — <reason>.`
 
 // marker tags a function as being on a recorded delivery path. The
 // live runtime carries it in the doc comments of loop, Send, After,
@@ -42,20 +35,10 @@ const name = "replaysafe"
 const marker = "replay:recorded"
 
 // Analyzer is the replaysafe pass.
-var Analyzer = &analysis.Analyzer{
-	Name:     name,
-	Doc:      doc,
-	Requires: []*analysis.Analyzer{inspect.Analyzer},
-	Run:      run,
-}
+var Analyzer = &lintutil.Analyzer{Name: "replaysafe", Doc: doc, Run: run}
 
 // recorded lists the package-path suffixes the analyzer applies to.
-var recorded = "internal/live,internal/dht"
-
-func init() {
-	Analyzer.Flags.StringVar(&recorded, "recorded", recorded,
-		"comma-separated package path suffixes hosting recorded delivery paths")
-}
+var recorded = []string{"internal/live", "internal/dht"}
 
 // clockReads are the time package functions that observe the wall
 // clock and hand the caller a value. Sleeping or arming a timer does
@@ -65,39 +48,32 @@ var clockReads = map[string]bool{
 	"Now": true, "Since": true, "Until": true,
 }
 
-func run(pass *analysis.Pass) (any, error) {
-	if !lintutil.PkgMatch(pass.Pkg.Path(), strings.Split(recorded, ",")) {
-		return nil, nil
+func run(pass *lintutil.Pass) {
+	if !lintutil.PkgMatch(pass.Pkg.Path(), recorded) {
+		return
 	}
-	ins := pass.ResultOf[inspect.Analyzer].(*inspector.Inspector)
-	ins.WithStack([]ast.Node{(*ast.CallExpr)(nil)}, func(n ast.Node, push bool, stack []ast.Node) bool {
-		if !push {
-			return true
+	lintutil.WithStack(pass.Files, func(n ast.Node, stack []ast.Node) {
+		call, ok := n.(*ast.CallExpr)
+		if !ok {
+			return
 		}
 		fd := enclosingMarked(stack)
 		if fd == nil {
-			return true
+			return
 		}
-		call := n.(*ast.CallExpr)
-		fn := typeutil.StaticCallee(pass.TypesInfo, call)
+		fn := lintutil.StaticCallee(pass.TypesInfo, call)
 		if fn == nil || fn.Pkg() == nil || fn.Pkg().Path() != "time" {
-			return true
+			return
 		}
-		if sig, ok := fn.Type().(*types.Signature); ok && sig.Recv() != nil {
-			return true // methods like Time.Sub compute; they do not observe
+		if fn.Type().(*types.Signature).Recv() != nil {
+			return // methods like Time.Sub compute; they do not observe
 		}
-		if !clockReads[fn.Name()] {
-			return true
+		if clockReads[fn.Name()] {
+			pass.Reportf(call.Pos(),
+				"time.%s on recorded delivery path %s; read the latched node clock or live.Nanotime so replay sees the same value",
+				fn.Name(), fd.Name.Name)
 		}
-		if lintutil.InTestFile(pass, call.Pos()) || lintutil.Allowed(pass, call.Pos(), name) {
-			return true
-		}
-		pass.Reportf(call.Pos(),
-			"time.%s on recorded delivery path %s; read the latched node clock or live.Nanotime so replay sees the same value",
-			fn.Name(), fd.Name.Name)
-		return true
 	})
-	return nil, nil
 }
 
 // enclosingMarked returns the innermost FuncDecl on the stack when its

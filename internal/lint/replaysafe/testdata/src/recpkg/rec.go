@@ -40,7 +40,7 @@ func arm(d time.Duration, fn func()) *time.Timer {
 // drain computes a diagnostics-only deadline; the deliberate crossing
 // is annotated (replay:recorded).
 func drain(deadline time.Time) time.Duration {
-	//lint:allow replaysafe diagnostics-only value, never reaches actors
+	//lint:ignore replaysafe — diagnostics-only value, never reaches actors
 	return time.Until(deadline)
 }
 

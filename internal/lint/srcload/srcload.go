@@ -1,15 +1,12 @@
-// Package srcload is the whole-program loader behind p2plint's
-// cross-package analyses (lockorder's lock-acquisition graph, the -json
-// findings driver). The go/analysis unitchecker sees one package at a
-// time, which is the wrong shape for a whole-program lock graph; the
-// usual answer, go/packages, is not in the vendored x/tools subset and
-// cannot be added to this module's offline build. srcload instead
-// type-checks the module from source directly: package directories are
-// discovered by walking the tree, module-internal imports resolve
-// recursively from their directories, vendored third-party imports from
-// vendor/, and the standard library through go/importer's source
-// importer — exactly the hermetic-loading idiom the linttest harness
-// established, scaled from one fixture package to the module.
+// Package srcload is the loader behind p2plint: it type-checks the
+// whole module from source in one pass, so every analyzer and the
+// whole-program lock-order graph share one load. Package directories
+// are discovered by walking the tree, module-internal imports resolve
+// recursively from their directories, and the standard library through
+// go/importer's source importer. The module has no dependencies outside
+// the standard library, so nothing else needs resolving. Check, the
+// per-package parse and type-check step, is exported for the linttest
+// harness, which resolves imports from fixture packages instead.
 //
 // Only non-test files are loaded: the analyses target production code,
 // and test files routinely violate the invariants deliberately.
@@ -56,13 +53,9 @@ type Config struct {
 	Only func(rel string) bool
 }
 
-// skipDirs are never descended into: vendored code is loaded on demand
-// by import path (not scanned), fixtures are analyzer inputs, bin holds
-// build products.
-var skipDirs = map[string]bool{
-	"vendor": true, "testdata": true, "bin": true,
-	".git": true, ".github": true,
-}
+// skipDirs are never descended into: fixtures are analyzer inputs, bin
+// holds build products.
+var skipDirs = map[string]bool{"testdata": true, "bin": true}
 
 type loader struct {
 	cfg  *Config
@@ -180,15 +173,6 @@ func (l *loader) Import(importPath string) (*types.Package, error) {
 			return pkg.Pkg, nil
 		}
 	}
-	// Vendored third-party import.
-	vdir := filepath.Join(l.cfg.Root, "vendor", filepath.FromSlash(importPath))
-	if _, err := os.Stat(vdir); err == nil {
-		pkg, err := l.loadDir(importPath, vdir)
-		if err != nil {
-			return nil, err
-		}
-		return pkg.Pkg, nil
-	}
 	// Standard library.
 	t, err := l.std.Import(importPath)
 	if err != nil {
@@ -213,20 +197,28 @@ func (l *loader) loadDir(importPath, dir string) (*Package, error) {
 	l.loading[importPath] = true
 	defer func() { l.loading[importPath] = false }()
 
+	pkg, err := Check(l.cfg.Fset, importPath, dir, l)
+	if err != nil {
+		return nil, err
+	}
+	l.pkgs[importPath] = pkg
+	l.typ[importPath] = pkg.Pkg
+	return pkg, nil
+}
+
+// Check parses the non-test .go files of dir and type-checks them as
+// package importPath, resolving imports through imp.
+func Check(fset *token.FileSet, importPath, dir string, imp types.Importer) (*Package, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, err
 	}
-	var names []string
-	for _, e := range entries {
-		if !e.IsDir() && strings.HasSuffix(e.Name(), ".go") && !strings.HasSuffix(e.Name(), "_test.go") {
-			names = append(names, e.Name())
-		}
-	}
-	sort.Strings(names)
 	var files []*ast.File
-	for _, name := range names {
-		f, err := parser.ParseFile(l.cfg.Fset, filepath.Join(dir, name), nil, parser.ParseComments)
+	for _, e := range entries {
+		if e.IsDir() || !strings.HasSuffix(e.Name(), ".go") || strings.HasSuffix(e.Name(), "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(fset, filepath.Join(dir, e.Name()), nil, parser.ParseComments)
 		if err != nil {
 			return nil, err
 		}
@@ -244,13 +236,10 @@ func (l *loader) loadDir(importPath, dir string) (*Package, error) {
 		Scopes:     map[ast.Node]*types.Scope{},
 		Instances:  map[*ast.Ident]types.Instance{},
 	}
-	conf := types.Config{Importer: l}
-	tpkg, err := conf.Check(importPath, l.cfg.Fset, files, info)
+	conf := types.Config{Importer: imp}
+	tpkg, err := conf.Check(importPath, fset, files, info)
 	if err != nil {
 		return nil, err
 	}
-	pkg := &Package{Path: importPath, Dir: dir, Files: files, Pkg: tpkg, Info: info}
-	l.pkgs[importPath] = pkg
-	l.typ[importPath] = tpkg
-	return pkg, nil
+	return &Package{Path: importPath, Dir: dir, Files: files, Pkg: tpkg, Info: info}, nil
 }

@@ -105,7 +105,7 @@ func (s *supervisor) run() {
 // the message (counted) without disturbing the batch.
 func (s *supervisor) appendMsg(wm wireMsg) bool {
 	var err error
-	s.batch, err = appendFrameV2(s.batch, wm, s.tr.cfg.MaxFrame, &s.scratch)
+	s.batch, err = appendFrame(s.batch, wm, s.tr.cfg.MaxFrame, &s.scratch)
 	if err != nil {
 		s.tr.countDrop(DropEncodeError)
 		s.tr.logTransport(s.addr, "encode failed: "+err.Error())
@@ -192,7 +192,7 @@ func (s *supervisor) connect() bool {
 		conn, err := cfg.Dial(s.addr, cfg.DialTimeout)
 		if err == nil {
 			conn.SetWriteDeadline(time.Now().Add(cfg.WriteTimeout))
-			if _, werr := conn.Write([]byte{wireV2Preamble}); werr != nil {
+			if _, werr := conn.Write([]byte{wirePreamble}); werr != nil {
 				conn.Close()
 				err = werr
 			}
@@ -245,7 +245,7 @@ func (s *supervisor) readGrants(conn net.Conn) {
 	br := bufio.NewReaderSize(conn, 64)
 	var buf []byte
 	for {
-		body, err := readFrameV2(br, maxCreditFrame, buf)
+		body, err := readFrame(br, maxCreditFrame, buf)
 		if err != nil {
 			return
 		}

@@ -342,7 +342,7 @@ func (t *TCPTransport) acceptLoop(ln net.Listener) {
 }
 
 // readLoop reads frames from one inbound connection. A connection that
-// does not open with the version byte wireV2Preamble is closed and
+// does not open with the version byte wirePreamble is closed and
 // counted as a frame error. Payload decode errors are counted and
 // skipped — the framing keeps the stream in sync — while framing
 // violations and read-deadline expiry close the connection (the
@@ -366,18 +366,18 @@ func (t *TCPTransport) readLoop(c net.Conn) {
 	if err != nil {
 		return
 	}
-	if first != wireV2Preamble {
-		t.noteFrameError(c, fmt.Errorf("live: connection opened with 0x%02x, not the version byte 0x%02x", first, wireV2Preamble))
+	if first != wirePreamble {
+		t.noteFrameError(c, fmt.Errorf("live: connection opened with 0x%02x, not the version byte 0x%02x", first, wirePreamble))
 		return
 	}
-	t.readLoopV2(c, br)
+	t.readStream(c, br)
 }
 
-// readLoopV2 is the compact framing (wire.go). The reader is also the
-// credit grantor: it issues an initial window as soon as the stream
-// opens and tops the sender back up once half the window has been
-// consumed, so a healthy connection always has credit in flight.
-func (t *TCPTransport) readLoopV2(c net.Conn, br *bufio.Reader) {
+// readStream reads the frames that follow the version byte (wire.go).
+// It is also the credit grantor: it issues an initial window as soon as
+// the stream opens and tops the sender back up once half the window has
+// been consumed, so a healthy connection always has credit in flight.
+func (t *TCPTransport) readStream(c net.Conn, br *bufio.Reader) {
 	grantMsgs, grantBytes := t.cfg.CreditWindowMsgs, t.cfg.CreditWindowBytes
 	granting := grantMsgs > 0 && grantBytes > 0
 	var gbuf []byte
@@ -399,7 +399,7 @@ func (t *TCPTransport) readLoopV2(c net.Conn, br *bufio.Reader) {
 		if t.cfg.ReadIdleTimeout > 0 {
 			c.SetReadDeadline(time.Now().Add(t.cfg.ReadIdleTimeout))
 		}
-		body, err := readFrameV2(br, t.cfg.MaxFrame, buf)
+		body, err := readFrame(br, t.cfg.MaxFrame, buf)
 		if err != nil {
 			t.noteFrameError(c, err)
 			return
@@ -411,7 +411,7 @@ func (t *TCPTransport) readLoopV2(c net.Conn, br *bufio.Reader) {
 		}
 		switch body[0] {
 		case frameData:
-			wm, err := decodeFrameV2Data(body)
+			wm, err := decodeFrameData(body)
 			if err != nil {
 				t.noteDecodeError(c, err)
 				break

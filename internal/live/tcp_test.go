@@ -202,7 +202,7 @@ func TestInboundDecodeErrorKeepsConnection(t *testing.T) {
 	// A well-framed data frame whose body is garbage must cost exactly
 	// one message — the next frame on the same connection still
 	// delivers.
-	stream := []byte{wireV2Preamble, 5, frameData, 0xde, 0xad, 0xbe, 0xef}
+	stream := []byte{wirePreamble, 5, frameData, 0xde, 0xad, 0xbe, 0xef}
 	stream = append(stream, dataFrame(t, 0, 1, proto.TaskReject{Reason: "alive"})...)
 	if _, err := c.Write(stream); err != nil {
 		t.Fatal(err)
@@ -240,7 +240,7 @@ func TestInboundRetiredGobFrameKindKeepsConnection(t *testing.T) {
 	if err := gob.NewEncoder(&legacy).Encode(wireMsg{From: 0, To: 1, Payload: proto.TaskReject{Reason: "legacy"}}); err != nil {
 		t.Fatal(err)
 	}
-	stream := binary.AppendUvarint([]byte{wireV2Preamble}, uint64(legacy.Len()))
+	stream := binary.AppendUvarint([]byte{wirePreamble}, uint64(legacy.Len()))
 	stream = append(stream, legacy.Bytes()...)
 	stream = append(stream, dataFrame(t, 0, 1, proto.TaskReject{Reason: "next"})...)
 	if _, err := c.Write(stream); err != nil {
@@ -296,7 +296,7 @@ func TestInboundOversizedFrameClosesConnection(t *testing.T) {
 	}
 
 	c := dialInbound(t, addr)
-	if _, err := c.Write(binary.AppendUvarint([]byte{wireV2Preamble}, 1<<30)); err != nil {
+	if _, err := c.Write(binary.AppendUvarint([]byte{wirePreamble}, 1<<30)); err != nil {
 		t.Fatal(err)
 	}
 	waitFor(t, 2*time.Second, func() bool { return tr.Stats().FrameErrors == 1 })

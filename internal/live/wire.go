@@ -12,7 +12,7 @@ import (
 )
 
 // This file is the live transport's wire format, version 2. A
-// connection opens with one version byte (wireV2Preamble), then carries
+// connection opens with one version byte (wirePreamble), then carries
 // uvarint-length-prefixed frames: [uvarint len][u8 frame kind][body].
 // Data frames (frameData) encode the routing pair as varints and the
 // payload with the zero-alloc proto codec; payload types outside the
@@ -28,8 +28,8 @@ import (
 // paper scale, so 8 MiB leaves generous headroom.
 const DefaultMaxFrame = 8 << 20
 
-// wireV2Preamble is the version byte that opens every connection.
-const wireV2Preamble = 0xB2
+// wirePreamble is the version byte that opens every connection.
+const wirePreamble = 0xB2
 
 // Frame kinds (first byte of every frame body). 0x02 carried a gob
 // payload in an earlier version of the format; it is retired and must
@@ -55,11 +55,11 @@ var errFrameTooLarge = errors.New("live: frame exceeds size limit")
 // order); the supervisor drops it as encode_error.
 var errUnencodable = errors.New("live: payload has no wire codec encoding")
 
-// appendFrameV2 appends wm to dst as one data frame. scratch holds the
+// appendFrame appends wm to dst as one data frame. scratch holds the
 // frame body between calls so the length prefix can be sized exactly;
 // both buffers' capacity is reused across calls and the steady-state
 // path allocates nothing.
-func appendFrameV2(dst []byte, wm wireMsg, maxFrame int, scratch *[]byte) ([]byte, error) {
+func appendFrame(dst []byte, wm wireMsg, maxFrame int, scratch *[]byte) ([]byte, error) {
 	body := append((*scratch)[:0], frameData)
 	body = binary.AppendVarint(body, int64(wm.From))
 	body = binary.AppendVarint(body, int64(wm.To))
@@ -85,12 +85,12 @@ func appendCreditFrame(dst []byte, msgs, bytes uint64) []byte {
 	return append(dst, b...)
 }
 
-// readFrameV2 reads one uvarint-length-prefixed frame body from r into
+// readFrame reads one uvarint-length-prefixed frame body from r into
 // buf (grown as needed, reused across calls). Frame-level errors (short
 // reads, oversized declarations) are unrecoverable for the stream;
-// payload corruption is left for decodeFrameV2Data to report so the
+// payload corruption is left for decodeFrameData to report so the
 // caller can keep the connection.
-func readFrameV2(r *bufio.Reader, maxFrame int, buf []byte) ([]byte, error) {
+func readFrame(r *bufio.Reader, maxFrame int, buf []byte) ([]byte, error) {
 	n, err := binary.ReadUvarint(r)
 	if err != nil {
 		return nil, err
@@ -111,9 +111,9 @@ func readFrameV2(r *bufio.Reader, maxFrame int, buf []byte) ([]byte, error) {
 	return buf, nil
 }
 
-// decodeFrameV2Data decodes a frameData body (kind byte already
+// decodeFrameData decodes a frameData body (kind byte already
 // inspected, still present at body[0]).
-func decodeFrameV2Data(body []byte) (wireMsg, error) {
+func decodeFrameData(body []byte) (wireMsg, error) {
 	var wm wireMsg
 	b := body[1:]
 	from, n := binary.Varint(b)

@@ -17,7 +17,7 @@ import (
 func dataFrame(t testing.TB, from, to env.NodeID, m env.Message) []byte {
 	t.Helper()
 	var scratch []byte
-	frame, err := appendFrameV2(nil, wireMsg{From: from, To: to, Payload: m}, DefaultMaxFrame, &scratch)
+	frame, err := appendFrame(nil, wireMsg{From: from, To: to, Payload: m}, DefaultMaxFrame, &scratch)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -27,7 +27,7 @@ func dataFrame(t testing.TB, from, to env.NodeID, m env.Message) []byte {
 func TestWireFrameTruncated(t *testing.T) {
 	frame := dataFrame(t, 1, 2, proto.TaskReject{TaskID: "t", Reason: "x"})
 	for cut := 1; cut < len(frame); cut++ {
-		_, err := readFrameV2(bufio.NewReader(bytes.NewReader(frame[:cut])), DefaultMaxFrame, nil)
+		_, err := readFrame(bufio.NewReader(bytes.NewReader(frame[:cut])), DefaultMaxFrame, nil)
 		if err == nil {
 			t.Fatalf("truncated frame (%d of %d bytes) read without error", cut, len(frame))
 		}
@@ -38,7 +38,7 @@ func TestWireFrameTruncated(t *testing.T) {
 }
 
 // readInbound feeds one byte stream through the inbound frame path the
-// way readLoop does once the version byte is consumed: readFrameV2 plus
+// way readLoop does once the version byte is consumed: readFrame plus
 // a per-kind decode, in a loop. No input may panic, allocate what a
 // hostile length declares, or wedge the reader. Frames that decode to a
 // message must also satisfy the codec's round-trip stability property:
@@ -51,7 +51,7 @@ func readInbound(t *testing.T, data []byte) {
 	// Every iteration consumes at least the length uvarint's first byte,
 	// so the loop is bounded by len(data); cap it as a wedge guard.
 	for i := 0; i <= len(data)+1; i++ {
-		body, err := readFrameV2(br, maxFrame, buf)
+		body, err := readFrame(br, maxFrame, buf)
 		if err != nil {
 			return // stream over or unrecoverable: readLoop closes
 		}
@@ -61,7 +61,7 @@ func readInbound(t *testing.T, data []byte) {
 		}
 		switch body[0] {
 		case frameData:
-			wm, err := decodeFrameV2Data(body)
+			wm, err := decodeFrameData(body)
 			if err != nil {
 				continue // errors here keep the connection
 			}

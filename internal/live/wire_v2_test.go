@@ -17,18 +17,18 @@ import (
 func TestWireV2FrameRoundTrip(t *testing.T) {
 	var scratch []byte
 	in := wireMsg{From: 3, To: 7, Payload: proto.HeartbeatReq{Seq: 42, Backup: 1}}
-	frame, err := appendFrameV2(nil, in, DefaultMaxFrame, &scratch)
+	frame, err := appendFrame(nil, in, DefaultMaxFrame, &scratch)
 	if err != nil {
 		t.Fatal(err)
 	}
-	body, err := readFrameV2(bufio.NewReader(bytes.NewReader(frame)), DefaultMaxFrame, nil)
+	body, err := readFrame(bufio.NewReader(bytes.NewReader(frame)), DefaultMaxFrame, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if body[0] != frameData {
 		t.Fatalf("frame kind = %#x, want frameData", body[0])
 	}
-	out, err := decodeFrameV2Data(body)
+	out, err := decodeFrameData(body)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +42,7 @@ func TestWireV2EncodeRejectsUnencodable(t *testing.T) {
 	// dst is left as it was, so the supervisor can drop just this message.
 	var scratch []byte
 	dst := []byte{0xaa}
-	out, err := appendFrameV2(dst, wireMsg{From: 1, To: 2, Payload: note{S: "local only"}}, DefaultMaxFrame, &scratch)
+	out, err := appendFrame(dst, wireMsg{From: 1, To: 2, Payload: note{S: "local only"}}, DefaultMaxFrame, &scratch)
 	if !errors.Is(err, errUnencodable) {
 		t.Fatalf("err = %v, want errUnencodable", err)
 	}
@@ -53,7 +53,7 @@ func TestWireV2EncodeRejectsUnencodable(t *testing.T) {
 
 func TestWireV2CreditFrameRoundTrip(t *testing.T) {
 	frame := appendCreditFrame(nil, 8192, 4<<20)
-	body, err := readFrameV2(bufio.NewReader(bytes.NewReader(frame)), maxCreditFrame, nil)
+	body, err := readFrame(bufio.NewReader(bytes.NewReader(frame)), maxCreditFrame, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +71,7 @@ func TestWireV2CreditFrameRoundTrip(t *testing.T) {
 
 func TestWireV2EncodeRejectsOversized(t *testing.T) {
 	var scratch []byte
-	_, err := appendFrameV2(nil, wireMsg{Payload: proto.TaskReject{Reason: string(make([]byte, 4096))}}, 64, &scratch)
+	_, err := appendFrame(nil, wireMsg{Payload: proto.TaskReject{Reason: string(make([]byte, 4096))}}, 64, &scratch)
 	if !errors.Is(err, errFrameTooLarge) {
 		t.Fatalf("err = %v, want errFrameTooLarge", err)
 	}
@@ -79,7 +79,7 @@ func TestWireV2EncodeRejectsOversized(t *testing.T) {
 
 func TestWireV2ReadRejectsOversizedDeclaration(t *testing.T) {
 	hdr := binary.AppendUvarint(nil, 1<<40)
-	_, err := readFrameV2(bufio.NewReader(bytes.NewReader(hdr)), DefaultMaxFrame, nil)
+	_, err := readFrame(bufio.NewReader(bytes.NewReader(hdr)), DefaultMaxFrame, nil)
 	if !errors.Is(err, errFrameTooLarge) {
 		t.Fatalf("err = %v, want errFrameTooLarge", err)
 	}
@@ -147,7 +147,7 @@ func TestCreditExhaustionShedsAtSource(t *testing.T) {
 		}
 		defer c.Close()
 		br := bufio.NewReader(c)
-		if b, err := br.ReadByte(); err != nil || b != wireV2Preamble {
+		if b, err := br.ReadByte(); err != nil || b != wirePreamble {
 			return
 		}
 		c.Write(appendCreditFrame(nil, 2, 1<<20))

@@ -7,7 +7,7 @@
 // goroutine runtime — producing a machine-readable pass/fail report.
 //
 // The decoder below is a deliberately small, hand-rolled YAML subset
-// (the module vendors everything and builds offline, so no external
+// (the module builds offline on the standard library alone, so no external
 // YAML dependency): block mappings, block sequences, flow sequences
 // ([a, b] and [[0,1],[2,3]]), double-quoted scalars and # comments.
 // Anchors, multi-document streams, block scalars and tabs are not
