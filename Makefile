@@ -160,23 +160,25 @@ bench-trace:
 	$(GO) test -run '^$$' -bench 'SimulatedSession|TraceDisabled' \
 		-benchmem -benchtime 50x .
 
-# bench is the Quick regression gate (CI smoke job), seven ratchets: the
+# bench is the Quick regression gate (CI smoke job), eight ratchets: the
 # Figure-3 allocation hot path (min of 3 runs), then the wire-codec
 # encode/decode benchmarks, the TCP delivery benchmark (the
 # wire-protocol-v2 ratchet: msgs/sec/core and allocs/msg), the DHT
-# provider lookup, the sim engine's RPC-timeout pattern, the RM's
-# gossip round and one simulated session end to end (min of 5 runs
-# each), compared against the latest committed snapshot in bench/.
+# provider lookup, the sim engine's RPC-timeout pattern and its
+# periodic-upkeep mix, the RM's gossip round and one simulated session
+# end to end (min of 5 runs each), compared against the latest
+# committed snapshot in bench/.
 # Fails on a >50% ns/op or allocs/op regression; writes
 # bench/BENCH_<today>.json on success (snapshots merge by benchmark
-# name, so the seven invocations share one file). All seven run with a
+# name, so the seven invocations share one file). All eight run with a
 # 50% tolerance rather than the tool's default 20%: they time
 # micro-scale operations where shared-runner timer noise exceeds 20%
 # (observed min-of-N spread on a 1-core runner), and the regression
 # class they guard against — a reflection-based encoder creeping back
 # onto the wire path, an allocation landing on the per-message hot path,
 # a routing-table sort returning to every DHT RPC, cancelled timers
-# piling up in the event queue, the RM re-hashing its catalog into fresh
+# piling up in the event queue, periodic timers paying a whole-queue
+# heap pop again, the RM re-hashing its catalog into fresh
 # Bloom filters every round, a closure creeping back onto netsim's
 # delivery or timer path — shows up as 2-100x, not 1.2x. The
 # WireCodec gob-baseline rows time a test-only gob encoder kept as
@@ -190,7 +192,7 @@ bench: bin/p2pbench
 		-regress-count 5 -regress-tolerance 0.5
 	./bin/p2pbench -regress -regress-pkg ./internal/dht -regress-bench DHTLookup \
 		-regress-count 5 -regress-tolerance 0.5
-	./bin/p2pbench -regress -regress-pkg ./internal/sim -regress-bench EngineTimers \
+	./bin/p2pbench -regress -regress-pkg ./internal/sim -regress-bench 'Engine(Timers|Upkeep)' \
 		-regress-count 5 -regress-tolerance 0.5
 	./bin/p2pbench -regress -regress-pkg ./internal/core -regress-bench RMGossipRound \
 		-regress-count 5 -regress-tolerance 0.5
@@ -198,8 +200,8 @@ bench: bin/p2pbench
 		-regress-count 5 -regress-tolerance 0.5
 
 # bench-all snapshots every root benchmark (min of 5 runs) plus the
-# codec, delivery, DHT lookup, engine-timer, gossip-round and
-# simulated-session ratchets;
+# codec, delivery, DHT lookup, engine-timer and -upkeep, gossip-round
+# and simulated-session ratchets;
 # use this to refresh the committed baseline after intentional
 # performance changes.
 bench-all: bin/p2pbench
@@ -210,7 +212,7 @@ bench-all: bin/p2pbench
 		-regress-count 5 -regress-tolerance 0.5
 	./bin/p2pbench -regress -regress-pkg ./internal/dht -regress-bench DHTLookup \
 		-regress-count 5 -regress-tolerance 0.5
-	./bin/p2pbench -regress -regress-pkg ./internal/sim -regress-bench EngineTimers \
+	./bin/p2pbench -regress -regress-pkg ./internal/sim -regress-bench 'Engine(Timers|Upkeep)' \
 		-regress-count 5 -regress-tolerance 0.5
 	./bin/p2pbench -regress -regress-pkg ./internal/core -regress-bench RMGossipRound \
 		-regress-count 5 -regress-tolerance 0.5

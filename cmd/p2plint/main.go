@@ -25,7 +25,8 @@
 // golden instead, after a reviewed change (`make lockorder-golden`).
 //
 // Each analyzer documents its invariant; a deliberate exception is
-// suppressed in place with //lint:ignore <analyzer> — <reason>. See
+// suppressed in place with //lint:ignore <analyzer> — <reason>. A
+// directive naming no analyzer (a misspelt name) is itself a finding. See
 // internal/lint and the "Static analysis" section of README.md.
 package main
 
@@ -105,12 +106,19 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	var findings []lintutil.Finding
 	if !*lockOnly {
+		names := make([]string, len(analyzers))
+		for i, a := range analyzers {
+			names[i] = a.Name
+		}
 		for _, pkg := range pkgs {
 			for _, a := range analyzers {
 				lintutil.Run(a, fset, pkg, func(pos token.Pos, msg string) {
 					findings = append(findings, lintutil.NewFinding(fset, a.Name, pos, msg))
 				})
 			}
+			lintutil.ReportUnknown(fset, pkg.Files, names, func(pos token.Pos, msg string) {
+				findings = append(findings, lintutil.NewFinding(fset, "p2plint", pos, msg))
+			})
 		}
 	}
 	findings = append(findings, lockorderFindings(fset, res, golden)...)

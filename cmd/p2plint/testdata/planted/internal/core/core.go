@@ -1,5 +1,5 @@
 // Package core plants one violation per analyzer that applies to it,
-// a lock-order cycle and a stale directive.
+// a lock-order cycle, a stale directive and a misspelt one.
 package core
 
 import (
@@ -55,4 +55,9 @@ func tableThenStore(s *store, t *table) {
 	s.mu.Lock()
 	s.mu.Unlock()
 	t.mu.Unlock()
+}
+
+func misspelt() time.Time {
+	//lint:ignore clockchek — the analyzer's name is misspelt
+	return time.Now()
 }

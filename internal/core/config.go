@@ -101,9 +101,6 @@ type Config struct {
 	// DefaultChunkSec is used when a TaskSpec leaves ChunkSec zero.
 	DefaultChunkSec float64
 
-	// EWMAAlpha smooths profiler measurements.
-	EWMAAlpha float64
-
 	// Nanotime, when set, supplies a monotonic nanosecond reading used
 	// to cost allocator computations (Events.AllocNanos, E4/E11). Nil
 	// means "derive from the injected env.Clock": under simulation the
@@ -139,6 +136,5 @@ func DefaultConfig() Config {
 		MaxRedirects:          3,
 		ComposeTimeout:        2 * sim.Second,
 		DefaultChunkSec:       1.0,
-		EWMAAlpha:             0.3,
 	}
 }

@@ -260,8 +260,7 @@ func (p *Peer) handleChunk(from env.NodeID, c proto.Chunk) {
 		Importance: d.Importance,
 	}
 	st.tasks[c.Index] = tid
-	start := p.ctx.Now()
-	p.onStageComplete(st, c, tid, start)
+	p.onStageComplete(st, c, tid)
 	p.proc.Add(task)
 }
 
@@ -273,7 +272,7 @@ const sinkStage = 1 << 20
 // onStageComplete registers the completion continuation for a chunk task.
 // The processor has a single OnComplete hook, so the peer keeps one
 // dispatch table keyed by task ID.
-func (p *Peer) onStageComplete(st *stageSession, c proto.Chunk, tid sched.TaskID, start sim.Time) {
+func (p *Peer) onStageComplete(st *stageSession, c proto.Chunk, tid sched.TaskID) {
 	if p.stageDone == nil {
 		p.stageDone = make(map[sched.TaskID]func(missed bool))
 		p.proc.OnComplete = func(done sched.Completion) {
@@ -291,7 +290,6 @@ func (p *Peer) onStageComplete(st *stageSession, c proto.Chunk, tid sched.TaskID
 		d := st.desc
 		stage := d.Stages[st.role]
 		delete(st.tasks, c.Index)
-		p.prof.ObserveServiceTime(stage.Service, float64(p.ctx.Now()-start))
 		out := c
 		out.NextStage = st.role + 1
 		if out.NextStage >= len(d.Stages) {

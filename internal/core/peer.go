@@ -139,7 +139,7 @@ func (p *Peer) Init(ctx env.Context) {
 	p.ctx = ctx
 	p.info.ID = ctx.Self()
 	p.proc = sched.NewProcessor(ctx, p.info.SpeedWU, p.cfg.SchedPolicy)
-	p.prof = profiler.New(int(ctx.Self()), p.info.SpeedWU, p.cfg.EWMAAlpha)
+	p.prof = profiler.New(int(ctx.Self()), p.info.SpeedWU)
 	p.conn = NewConnManager()
 	p.joinedAt = ctx.Now()
 	p.disc = newDiscovery(p)

@@ -430,6 +430,7 @@ func (p *Peer) rmHeartbeatTick() {
 	st.hbSent[st.hbSeq] = p.ctx.Now()
 	delete(st.hbSent, st.hbSeq-8) // keep a short probe history
 	var dead []env.NodeID
+	var req env.Message = proto.HeartbeatReq{Seq: st.hbSeq, Backup: st.backup} // boxed once for every member
 	for _, rec := range st.peers {
 		if rec.id == p.ctx.Self() {
 			continue
@@ -439,7 +440,7 @@ func (p *Peer) rmHeartbeatTick() {
 			dead = append(dead, rec.id)
 			continue
 		}
-		p.ctx.Send(rec.id, proto.HeartbeatReq{Seq: st.hbSeq, Backup: st.backup})
+		p.ctx.Send(rec.id, req)
 	}
 	for _, id := range dead {
 		p.rmRemovePeer(id, "heartbeat-timeout")

@@ -1,8 +1,10 @@
 package lintutil
 
 import (
+	"fmt"
 	"go/ast"
 	"go/token"
+	"slices"
 	"strings"
 )
 
@@ -84,6 +86,22 @@ func parseDirective(fset *token.FileSet, c *ast.Comment) *directive {
 		return nil
 	}
 	return d
+}
+
+// ReportUnknown reports each //lint:ignore directive in files that names
+// no analyzer in known. No analyzer's suppressor collects such a
+// directive, so it would suppress nothing and never be reported as
+// unused.
+func ReportUnknown(fset *token.FileSet, files []*ast.File, known []string, report func(token.Pos, string)) {
+	for _, f := range files {
+		for _, cg := range f.Comments {
+			for _, c := range cg.List {
+				if d := parseDirective(fset, c); d != nil && !slices.Contains(known, d.analyzer) {
+					report(d.pos, fmt.Sprintf("//lint:ignore %s names no known analyzer (%s)", d.analyzer, strings.Join(known, ", ")))
+				}
+			}
+		}
+	}
 }
 
 // suppressor holds the directives addressed to one analyzer in one

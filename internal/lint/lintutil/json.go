@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"go/token"
 	"io"
+	"path/filepath"
 	"sort"
 	"strings"
 )
@@ -68,11 +69,12 @@ func WriteFindings(w io.Writer, fs []Finding) error {
 	return enc.Encode(fs)
 }
 
-// TrimRoot rewrites each finding's file path relative to root (CI runs
-// from the repo root; absolute runner paths would make artifacts diff
-// dirty between runs).
+// TrimRoot rewrites each finding's file path, and every position its
+// message quotes, relative to root (CI runs from the repo root; absolute
+// runner paths would make artifacts diff dirty between runs). Files
+// loaded under "." carry relative paths already.
 func TrimRoot(fs []Finding, root string) {
-	if root == "" {
+	if root = filepath.Clean(root); root == "." {
 		return
 	}
 	if !strings.HasSuffix(root, "/") {
@@ -80,5 +82,6 @@ func TrimRoot(fs []Finding, root string) {
 	}
 	for i := range fs {
 		fs[i].File = strings.TrimPrefix(fs[i].File, root)
+		fs[i].Message = strings.ReplaceAll(fs[i].Message, root, "")
 	}
 }

@@ -49,7 +49,7 @@ func TestWriteFindings(t *testing.T) {
 	pos := func(line, col int) token.Pos { return f.LineStart(line) + token.Pos(col-1) }
 
 	findings := []lintutil.Finding{
-		lintutil.NewFinding(fset, "maporder", pos(42, 2), "range over map st.summaries: iteration order can escape"),
+		lintutil.NewFinding(fset, "maporder", pos(42, 2), "range over map st.summaries: iteration order can escape (append at /repo/internal/core/gossip.go:43:3)"),
 		lintutil.NewFinding(fset, "clockcheck", pos(7, 1), "time.Now in deterministic package"),
 	}
 	lintutil.TrimRoot(findings, "/repo")
@@ -72,7 +72,7 @@ func TestWriteFindings(t *testing.T) {
     "line": 42,
     "col": 2,
     "analyzer": "maporder",
-    "message": "range over map st.summaries: iteration order can escape"
+    "message": "range over map st.summaries: iteration order can escape (append at internal/core/gossip.go:43:3)"
   }
 ]
 `

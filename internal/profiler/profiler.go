@@ -1,17 +1,16 @@
 // Package profiler implements the per-peer Profiler of §2/§3.2: it
-// "measures the current processor and network load of the peer and
-// monitors the computation and communication times of the applications as
-// they execute", producing the periodic reports that flow to the domain
-// Resource Manager (§4.4 intra-domain propagation).
+// "measures the current processor and network load of the peer", producing
+// the periodic reports that flow to the domain Resource Manager (§4.4
+// intra-domain propagation). A report carries only what the Resource
+// Manager reads: load, utilisation and bandwidth use.
 //
-// Measurements are smoothed with exponentially weighted moving averages so
-// a single noisy sample does not swing the Resource Manager's allocation
-// decisions.
+// EWMA is the exponentially weighted moving average for smoothing a
+// measured quantity, so a single noisy sample does not swing the Resource
+// Manager's allocation decisions.
 package profiler
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/sim"
 )
@@ -50,19 +49,15 @@ func (e *EWMA) Value() float64 { return e.value }
 func (e *EWMA) Seen() bool { return e.seen }
 
 // Report is one profiler snapshot propagated to the Resource Manager
-// (§3.2): current load, bandwidth use, and per-service timing profiles.
+// (§3.2): what the RM folds into its view of the peer, the current load
+// and bandwidth use, and when they were measured. The RM measures
+// per-hop communication times itself, from heartbeat round trips.
 type Report struct {
 	Peer          int
 	At            sim.Time
 	Load          float64 // work units/s currently in service (l_i)
 	Utilization   float64 // Load / Speed
 	BandwidthKbps float64 // currently used network bandwidth (bw_i)
-	// ServiceTimes maps service key -> smoothed per-chunk computation
-	// time in microseconds, measured as applications execute.
-	ServiceTimes map[string]float64
-	// CommTimes maps remote peer -> smoothed one-way communication time
-	// in microseconds.
-	CommTimes map[int]float64
 }
 
 // Profiler accumulates local measurements for one peer.
@@ -72,26 +67,14 @@ type Profiler struct {
 
 	load      float64
 	bandwidth float64
-
-	serviceTimes map[string]*EWMA
-	commTimes    map[int]*EWMA
-
-	alpha float64
 }
 
 // New returns a profiler for the given peer with processing power speed.
-// alpha is the EWMA smoothing factor for timing measurements.
-func New(peer int, speed float64, alpha float64) *Profiler {
+func New(peer int, speed float64) *Profiler {
 	if speed <= 0 {
 		panic("profiler: non-positive speed")
 	}
-	return &Profiler{
-		peer:         peer,
-		speed:        speed,
-		serviceTimes: make(map[string]*EWMA),
-		commTimes:    make(map[int]*EWMA),
-		alpha:        alpha,
-	}
+	return &Profiler{peer: peer, speed: speed}
 }
 
 // SetLoad records the instantaneous processor load (work units/s in
@@ -126,64 +109,18 @@ func (p *Profiler) AddBandwidth(delta float64) { p.SetBandwidth(p.bandwidth + de
 // Bandwidth returns the current bandwidth use in Kbps.
 func (p *Profiler) Bandwidth() float64 { return p.bandwidth }
 
-// ObserveServiceTime records a measured per-chunk computation time for a
-// service (µs).
-func (p *Profiler) ObserveServiceTime(service string, micros float64) {
-	e, ok := p.serviceTimes[service]
-	if !ok {
-		e = NewEWMA(p.alpha)
-		p.serviceTimes[service] = e
-	}
-	e.Observe(micros)
-}
-
-// ObserveCommTime records a measured one-way communication time to a
-// remote peer (µs).
-func (p *Profiler) ObserveCommTime(remote int, micros float64) {
-	e, ok := p.commTimes[remote]
-	if !ok {
-		e = NewEWMA(p.alpha)
-		p.commTimes[remote] = e
-	}
-	e.Observe(micros)
-}
-
-// ServiceTime returns the smoothed computation time for service, if any
-// sample exists.
-func (p *Profiler) ServiceTime(service string) (float64, bool) {
-	if e, ok := p.serviceTimes[service]; ok && e.Seen() {
-		return e.Value(), true
-	}
-	return 0, false
-}
-
 // Snapshot produces the report propagated to the Resource Manager.
 func (p *Profiler) Snapshot(at sim.Time) Report {
-	r := Report{
+	return Report{
 		Peer:          p.peer,
 		At:            at,
 		Load:          p.load,
 		Utilization:   p.load / p.speed,
 		BandwidthKbps: p.bandwidth,
-		ServiceTimes:  make(map[string]float64, len(p.serviceTimes)),
-		CommTimes:     make(map[int]float64, len(p.commTimes)),
 	}
-	for k, e := range p.serviceTimes {
-		r.ServiceTimes[k] = e.Value()
-	}
-	for k, e := range p.commTimes {
-		r.CommTimes[k] = e.Value()
-	}
-	return r
 }
 
 // String renders the profiler state for diagnostics.
 func (p *Profiler) String() string {
-	keys := make([]string, 0, len(p.serviceTimes))
-	for k := range p.serviceTimes {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return fmt.Sprintf("profiler(peer=%d load=%.2f bw=%.0fKbps services=%d)",
-		p.peer, p.load, p.bandwidth, len(keys))
+	return fmt.Sprintf("profiler(peer=%d load=%.2f bw=%.0fKbps)", p.peer, p.load, p.bandwidth)
 }

@@ -85,7 +85,7 @@ func TestPropertyEWMABounded(t *testing.T) {
 }
 
 func TestProfilerLoad(t *testing.T) {
-	p := New(3, 4, 0.3)
+	p := New(3, 4)
 	p.SetLoad(2)
 	if p.Load() != 2 || p.Utilization() != 0.5 {
 		t.Fatalf("load/util = %v/%v", p.Load(), p.Utilization())
@@ -101,7 +101,7 @@ func TestProfilerLoad(t *testing.T) {
 }
 
 func TestProfilerBandwidth(t *testing.T) {
-	p := New(0, 1, 0.3)
+	p := New(0, 1)
 	p.SetBandwidth(512)
 	p.AddBandwidth(-600)
 	if p.Bandwidth() != 0 {
@@ -113,39 +113,16 @@ func TestProfilerBandwidth(t *testing.T) {
 	}
 }
 
-func TestServiceTimes(t *testing.T) {
-	p := New(0, 1, 0.5)
-	if _, ok := p.ServiceTime("svc"); ok {
-		t.Fatal("unknown service reported a time")
-	}
-	p.ObserveServiceTime("svc", 100)
-	p.ObserveServiceTime("svc", 200)
-	v, ok := p.ServiceTime("svc")
-	if !ok || v != 150 {
-		t.Fatalf("ServiceTime = %v,%v", v, ok)
-	}
-}
-
 func TestSnapshot(t *testing.T) {
-	p := New(7, 2, 0.5)
+	p := New(7, 2)
 	p.SetLoad(1)
 	p.SetBandwidth(256)
-	p.ObserveServiceTime("a", 10)
-	p.ObserveCommTime(4, 500)
 	r := p.Snapshot(1234)
 	if r.Peer != 7 || r.At != 1234 {
 		t.Fatalf("snapshot meta = %+v", r)
 	}
 	if r.Load != 1 || r.Utilization != 0.5 || r.BandwidthKbps != 256 {
 		t.Fatalf("snapshot values = %+v", r)
-	}
-	if r.ServiceTimes["a"] != 10 || r.CommTimes[4] != 500 {
-		t.Fatalf("snapshot maps = %+v", r)
-	}
-	// Snapshot maps must be copies.
-	r.ServiceTimes["a"] = 999
-	if v, _ := p.ServiceTime("a"); v != 10 {
-		t.Fatal("snapshot aliased internal state")
 	}
 }
 
@@ -155,11 +132,11 @@ func TestNewPanicsOnBadSpeed(t *testing.T) {
 			t.Fatal("zero speed accepted")
 		}
 	}()
-	New(0, 0, 0.5)
+	New(0, 0)
 }
 
 func TestString(t *testing.T) {
-	p := New(1, 1, 0.5)
+	p := New(1, 1)
 	if s := p.String(); len(s) == 0 {
 		t.Fatal("empty String")
 	}

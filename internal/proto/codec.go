@@ -12,12 +12,17 @@ package proto
 // path allocates nothing beyond the decoded message itself.
 //
 // Layout per message: [u8 kind][fields in struct order]. Strings and
-// byte blobs are length-prefixed (uvarint); slices and maps are
-// count-prefixed. Map entries are emitted in sorted key order so equal
-// messages encode to equal bytes. Empty slices and maps decode to nil.
+// byte blobs are length-prefixed (uvarint); slices are count-prefixed,
+// and empty slices decode to nil. No message carries a map, whose
+// iteration order would let equal messages encode to different bytes.
 // A gossip digest's versions are a list kept in canonical form, strictly
 // ascending by domain: AppendMessage refuses any other order and the
 // decoder rejects it, so a digest has exactly one encoding.
+//
+// A ProfileUpdate is the five fields of a profiler.Report. Encoders that
+// predate this layout appended a per-service and a per-peer timing map;
+// their ProfileUpdate frames fail to decode here (trailing bytes), both on
+// the live wire and in recordings.
 //
 // The set of kind tags is append-only: tags are wire format, never
 // renumber them. Types outside the set cannot leave memory: the live
@@ -28,7 +33,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"sort"
 
 	"repro/internal/env"
 	"repro/internal/media"
@@ -505,39 +509,13 @@ func appendProvider(b []byte, p DHTProvider) []byte {
 	return appendF64(b, p.AvgUtil)
 }
 
-// appendReport encodes a profiler snapshot. Both maps are emitted in
-// sorted key order so equal reports encode to equal bytes.
+// appendReport encodes a profiler snapshot.
 func appendReport(b []byte, r profiler.Report) []byte {
 	b = appendNum(b, r.Peer)
 	b = binary.AppendVarint(b, int64(r.At))
 	b = appendF64(b, r.Load)
 	b = appendF64(b, r.Utilization)
-	b = appendF64(b, r.BandwidthKbps)
-	b = binary.AppendUvarint(b, uint64(len(r.ServiceTimes)))
-	if len(r.ServiceTimes) > 0 {
-		keys := make([]string, 0, len(r.ServiceTimes))
-		for k := range r.ServiceTimes {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		for _, k := range keys {
-			b = appendStr(b, k)
-			b = appendF64(b, r.ServiceTimes[k])
-		}
-	}
-	b = binary.AppendUvarint(b, uint64(len(r.CommTimes)))
-	if len(r.CommTimes) > 0 {
-		keys := make([]int, 0, len(r.CommTimes))
-		for k := range r.CommTimes {
-			keys = append(keys, k)
-		}
-		sort.Ints(keys)
-		for _, k := range keys {
-			b = appendNum(b, k)
-			b = appendF64(b, r.CommTimes[k])
-		}
-	}
-	return b
+	return appendF64(b, r.BandwidthKbps)
 }
 
 // ascendingVersions reports whether a digest's versions are in their
@@ -820,28 +798,13 @@ func (d *wireDecoder) domainSummary() DomainSummary {
 }
 
 func (d *wireDecoder) report() profiler.Report {
-	r := profiler.Report{
+	return profiler.Report{
 		Peer:          d.num("peer"),
 		At:            sim.Time(d.varint("at")),
 		Load:          d.f64("load"),
 		Utilization:   d.f64("utilization"),
 		BandwidthKbps: d.f64("bandwidth"),
 	}
-	if n := d.count("service times"); n > 0 {
-		r.ServiceTimes = make(map[string]float64, n)
-		for i := 0; i < n; i++ {
-			k := d.str("service key")
-			r.ServiceTimes[k] = d.f64("service time")
-		}
-	}
-	if n := d.count("comm times"); n > 0 {
-		r.CommTimes = make(map[int]float64, n)
-		for i := 0; i < n; i++ {
-			k := d.num("comm peer")
-			r.CommTimes[k] = d.f64("comm time")
-		}
-	}
-	return r
 }
 
 // dhtKey reads the fixed 20-byte key.

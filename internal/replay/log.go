@@ -39,7 +39,9 @@ const (
 	// (sender), Time; Name = concrete Go type. Aux selects the payload
 	// encoding of Data: auxCodec = a standalone blob in the
 	// internal/proto wire codec, auxUnencodable = the payload was outside
-	// the codec's message set (Data empty); see Event.Message.
+	// the codec's message set (Data empty); see Event.Message. A
+	// ProfileUpdate recorded while reports still carried timing maps
+	// fails to decode at its own event; re-record such a run.
 	KDeliver
 	// KTimer: a timer callback fired. Node, Time; Aux = per-node timer
 	// ID; Aux2 = logical deadline micros.

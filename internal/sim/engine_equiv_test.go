@@ -3,6 +3,7 @@ package sim
 import (
 	"container/heap"
 	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/rng"
@@ -146,7 +147,7 @@ type scriptEngine interface {
 	live() int
 }
 
-// engineUnderTest adapts Engine to scriptEngine, checks its heap and
+// engineUnderTest adapts Engine to scriptEngine, checks its tiers and
 // cancelled count, and counts compactions and those that left the queue
 // empty.
 type engineUnderTest struct {
@@ -168,14 +169,18 @@ func (e *engineUnderTest) scheduleTyped(at Time, ev Event) func() bool {
 
 func (e *engineUnderTest) setTarget(fn func(Event)) { e.SetTarget(fn) }
 
-// cancelFunc cancels h, counting the compactions the cancel triggers.
+// cancelFunc cancels h, counting the compactions the cancel triggers;
+// a compaction must leave no cancelled event in any tier.
 func (e *engineUnderTest) cancelFunc(h Handle) func() bool {
 	return func() bool {
-		before := len(e.queue)
+		before := e.queued
 		ok := h.Cancel()
-		if len(e.queue) < before {
+		if e.queued < before {
+			if e.cancelled != 0 {
+				e.t.Fatalf("compaction left %d cancelled events queued", e.cancelled)
+			}
 			e.compactions++
-			if len(e.queue) == 0 {
+			if e.queued == 0 {
 				e.emptied++
 			}
 		}
@@ -183,31 +188,72 @@ func (e *engineUnderTest) cancelFunc(h Handle) func() bool {
 	}
 }
 
-// check verifies the heap order over (at, seq), that cancelled equals
-// the number of queued entries whose slot is no longer live, and the
-// slab: each queued entry owns one slot, every other slot is free and
-// zeroed, the free bitmap marks exactly those below the slab's length,
-// and the slab ends in an owned slot.
+// check verifies the queue and the slab after every op:
+//   - each tier holds only the buckets it owns: the heap buckets up to
+//     cur, the near ring the later buckets of cur's block, each in its
+//     own list, the far ring the next ringSize-1 blocks, each in its own
+//     list, and the overflow heap every later block;
+//   - both heaps are ordered by (at, seq), a ring's occupancy bits mark
+//     exactly its non-empty lists, and a slot in a heap links nowhere;
+//   - each queued event owns one slot, which holds its time and seq,
+//     queued counts them all and cancelled the ones no longer live;
+//   - every other slot is free and zeroed, the free bitmap marks exactly
+//     those below the slab's length, and the slab ends in an owned slot.
 func (e *engineUnderTest) check() {
 	e.t.Helper()
-	dead := 0
+	dead, n := 0, 0
 	owned := make([]bool, len(e.slots))
-	for i, x := range e.queue {
-		if x.slot() >= len(e.slots) || owned[x.slot()] {
-			e.t.Fatalf("entry %d: slot %d out of range or shared", i, x.slot())
+	own := func(tier string, i int) *slot {
+		if i >= len(e.slots) || owned[i] {
+			e.t.Fatalf("%s: slot %d out of range or shared", tier, i)
 		}
-		owned[x.slot()] = true
-		if s := e.slots[x.slot()]; !s.live {
+		owned[i] = true
+		n++
+		s := &e.slots[i]
+		if !s.live {
 			dead++
-		} else if s.gen != uint32(x.key>>slotBits) {
-			e.t.Fatalf("entry %d: slot generation %d, seq %d", i, s.gen, x.key>>slotBits)
 		}
-		if i > 0 && x.less(e.queue[(i-1)/4]) {
-			e.t.Fatalf("heap order broken at slot %d", i)
+		return s
+	}
+	curBlock := e.cur >> ringBits
+	heapOf := func(tier string, q queue, ok func(b int64) bool) {
+		for i, x := range q {
+			s := own(tier, x.slot())
+			if s.at != x.at || s.seq != x.key>>slotBits || s.next != 0 {
+				e.t.Fatalf("%s entry %d: slot %+v, entry at %d seq %d", tier, i, *s, x.at, x.key>>slotBits)
+			}
+			if b := int64(x.at) >> bucketShift; !ok(b) {
+				e.t.Fatalf("%s entry %d: bucket %d, cur %d", tier, i, b, e.cur)
+			}
+			if i > 0 && x.less(q[(i-1)/4]) {
+				e.t.Fatalf("%s: heap order broken at %d", tier, i)
+			}
 		}
 	}
-	if dead != e.cancelled {
-		e.t.Fatalf("cancelled = %d, %d dead entries queued", e.cancelled, dead)
+	heapOf("heap", e.heap, func(b int64) bool { return b <= e.cur })
+	heapOf("overflow", e.overflow, func(b int64) bool { return b>>ringBits >= curBlock+ringSize })
+	ringOf := func(tier string, r *ring, ok func(b int64, p int) bool) {
+		for p, head := range r.head {
+			if (head != 0) != (r.occ&(1<<p) != 0) {
+				e.t.Fatalf("%s %d: head %d, occupancy %b", tier, p, head, r.occ)
+			}
+			for i := head; i != 0; i = e.slots[i-1].next {
+				s := own(tier, int(i-1))
+				if b := int64(s.at) >> bucketShift; !ok(b, p) {
+					e.t.Fatalf("%s %d: slot %d at bucket %d, cur %d", tier, p, i-1, b, e.cur)
+				}
+			}
+		}
+	}
+	ringOf("near", &e.near, func(b int64, p int) bool {
+		return b > e.cur && b>>ringBits == curBlock && b&ringMask == int64(p)
+	})
+	ringOf("far", &e.far, func(b int64, p int) bool {
+		ahead := b>>ringBits - curBlock
+		return ahead > 0 && ahead < ringSize && (b>>ringBits)&ringMask == int64(p)
+	})
+	if n != e.queued || dead != e.cancelled {
+		e.t.Fatalf("queued = %d, cancelled = %d; %d events queued, %d dead", e.queued, e.cancelled, n, dead)
 	}
 	if len(e.free) != (len(e.slots)+63)/64 {
 		e.t.Fatalf("%d bitmap words for %d slots", len(e.free), len(e.slots))
@@ -245,6 +291,11 @@ var scriptShapes = []scriptShape{
 	{name: "ties", ops: 400, spread: 3, batch: 12, cancel: 3},
 	{name: "sparse", ops: 400, spread: 5000, batch: 6, cancel: 3},
 	{name: "compaction", ops: 300, spread: 2000, batch: 300, cancel: 6},
+	// Spreads past one bucket (1.024 ms), one block (65.5 ms) and the far
+	// ring's reach (about 4.1 s), so events cross every tier boundary.
+	{name: "buckets", ops: 400, spread: 40 * int(Millisecond), batch: 12, cancel: 3},
+	{name: "horizon", ops: 400, spread: 12 * int(Second), batch: 8, cancel: 3},
+	{name: "far-compaction", ops: 300, spread: 9 * int(Second), batch: 300, cancel: 6},
 }
 
 // script drives one engine from an rng stream. Handlers also draw from
@@ -351,9 +402,10 @@ func (s *script) run() {
 }
 
 // advance moves the clock: one Step, a RunUntil whose deadline falls
-// between event times, exactly on one, or at now, or a full Run.
+// between event times, exactly on one, at now, inside the widest stretch
+// with no event or past every event, or a full Run.
 func (s *script) advance() {
-	switch k := s.r.Intn(10); {
+	switch k := s.r.Intn(12); {
 	case k < 3:
 		s.logf("step %v", s.eng.Step())
 	case k < 6:
@@ -366,9 +418,36 @@ func (s *script) advance() {
 		s.eng.RunUntil(at)
 	case k < 9:
 		s.eng.RunUntil(s.eng.Now())
+	case k < 10:
+		s.eng.RunUntil(s.emptyStretch())
+	case k < 11:
+		s.eng.RunUntil(slices.Max(s.times) + Time(1+s.r.Intn(s.shape.spread)))
 	default:
 		s.eng.Run()
 	}
+}
+
+// emptyStretch returns a time inside the widest gap after now between
+// scheduled times. Every queued event's time is among them, so no event
+// falls in the gap.
+func (s *script) emptyStretch() Time {
+	ahead := []Time{s.eng.Now()}
+	for _, at := range s.times {
+		if at > s.eng.Now() {
+			ahead = append(ahead, at)
+		}
+	}
+	slices.Sort(ahead)
+	lo, gap := ahead[0], Time(0)
+	for i := 1; i < len(ahead); i++ {
+		if d := ahead[i] - ahead[i-1]; d > gap {
+			lo, gap = ahead[i-1], d
+		}
+	}
+	if gap < 2 {
+		return lo
+	}
+	return lo + 1 + Time(s.r.Intn(int(gap-1)))
 }
 
 // TestEngineMatchesReference drives the engine and the container/heap

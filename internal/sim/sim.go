@@ -1,15 +1,17 @@
 // Package sim is a deterministic discrete-event simulation engine.
 //
-// The engine maintains a virtual clock in microseconds and a 4-ary heap of
+// The engine maintains a virtual clock in microseconds and a queue of
 // pending events. Events scheduled for the same instant fire in the order
 // they were scheduled (ties broken by a monotone sequence number), which
 // makes runs bit-reproducible given the same seed and schedule.
 //
 // An event is either a func() callback (At, After) or a typed Event
 // (Schedule) that the engine hands to its one target (SetTarget) when it
-// fires. Both live in a slab of fixed-size slots and the heap holds
-// pointer-free (time, seq|slot) keys, so scheduling and firing allocate
-// nothing.
+// fires. Both live in a slab of fixed-size slots. The queue has three
+// tiers: a 4-ary heap of pointer-free (time, seq|slot) keys holding the
+// current bucket of about a millisecond, rings of unsorted per-bucket
+// lists linked through the slots for about the next four seconds, and
+// an overflow heap beyond that. Scheduling and firing allocate nothing.
 package sim
 
 import (
@@ -62,8 +64,10 @@ type Event struct {
 // slot holds one queued event. For kind 0, x is the func() callback.
 type slot struct {
 	x    any
+	at   Time
+	seq  uint64 // the seq the event was scheduled under; its low 32 bits are the handle's generation
 	a, b int32
-	gen  uint32 // low 32 bits of the seq the event was scheduled under
+	next int32 // in a ring bucket's list: the next slot's index + 1, 0 at the end
 	kind uint8
 	live bool // neither fired nor cancelled
 }
@@ -74,13 +78,25 @@ const (
 	slotBits = 24
 	slotMask = 1<<slotBits - 1
 	maxSeq   = 1 << (64 - slotBits)
-	// minShrinkCap is the capacity below which the slab and the heap are
+	// minShrinkCap is the capacity below which the slab and the heaps are
 	// never re-allocated smaller.
 	minShrinkCap = 256
 )
 
+// An event's bucket is its time >> bucketShift (1.024 ms), and a block
+// is ringSize buckets (65.5 ms). The near ring holds the buckets of the
+// current block after the current one; the far ring holds the next
+// ringSize-1 blocks, so the two reach 4.1 to 4.2 s past the current
+// bucket.
+const (
+	bucketShift = 10
+	ringBits    = 6
+	ringSize    = 1 << ringBits
+	ringMask    = ringSize - 1
+)
+
 // entry is one heap element. It holds no pointer, so the collector never
-// scans the queue, and four children fill one cache line.
+// scans a heap, and four children fill one cache line.
 type entry struct {
 	at  Time
 	key uint64
@@ -92,14 +108,27 @@ func (a entry) slot() int { return int(a.key & slotMask) }
 
 // Engine runs events in virtual-time order. It is not safe for concurrent
 // use; all simulated components run on the engine's single logical thread.
+//
+// Every queued event sits in exactly one tier, by its bucket b:
+//   - b <= cur: in heap;
+//   - b > cur in cur's block: in near's list b&ringMask;
+//   - a later block less than ringSize blocks on: in far's list block&ringMask;
+//   - further: in overflow.
+//
+// The heap's minimum is therefore the earliest event; when the heap runs
+// dry, refill moves cur to the next non-empty bucket.
 type Engine struct {
 	now       Time
 	seq       uint64
-	queue     []entry  // 4-ary min-heap ordered by (at, seq)
+	cur       int64 // the bucket whose events, and any earlier ones, are in heap
+	heap      queue
+	near, far ring
+	overflow  queue
+	queued    int      // events in every tier, cancelled ones included
 	slots     []slot   // every queued event, pending or cancelled
 	free      []uint64 // bit i set: slots[i] is free
 	freeLo    int      // no word of free below this index has a bit set
-	cancelled int      // entries in queue whose event was cancelled
+	cancelled int      // queued events that were cancelled
 	fired     uint64
 	halted    bool
 	target    func(Event)
@@ -129,7 +158,7 @@ func (e *Engine) Now() Time { return e.now }
 func (e *Engine) Fired() uint64 { return e.fired }
 
 // Pending reports how many events are queued, not counting cancelled ones.
-func (e *Engine) Pending() int { return len(e.queue) - e.cancelled }
+func (e *Engine) Pending() int { return e.queued - e.cancelled }
 
 // Handle identifies a scheduled event and allows cancellation. It names
 // the event's slot and the generation the slot had when the event was
@@ -160,12 +189,12 @@ func (e *Engine) cancel(id uint64) bool {
 		return false
 	}
 	s := &e.slots[i]
-	if !s.live || s.gen != uint32(id>>32) {
+	if !s.live || uint32(s.seq) != uint32(id>>32) {
 		return false
 	}
 	s.live, s.x = false, nil
 	e.cancelled++
-	if e.cancelled > 64 && e.cancelled > len(e.queue)/2 {
+	if e.cancelled > 64 && e.cancelled > e.queued/2 {
 		e.compact()
 	}
 	return true
@@ -224,14 +253,19 @@ func (e *Engine) Run() {
 
 // step fires the next live event due by deadline, dropping dead heads first.
 func (e *Engine) step(deadline Time) bool {
-	for len(e.queue) > 0 && !e.slots[e.queue[0].slot()].live {
-		e.release(e.pop().slot())
-		e.cancelled--
+	for {
+		if len(e.heap) == 0 && !e.refill() {
+			return false
+		}
+		if e.slots[e.heap[0].slot()].live {
+			break
+		}
+		e.drop(e.heap.pop().slot())
 	}
-	if len(e.queue) == 0 || e.queue[0].at > deadline {
+	if e.heap[0].at > deadline {
 		return false
 	}
-	x := e.pop()
+	x := e.heap.pop()
 	s := e.slots[x.slot()]
 	e.release(x.slot())
 	e.now, e.fired = x.at, e.fired+1
@@ -252,18 +286,93 @@ func (e *Engine) push(at Time, s slot) Handle {
 		panic("sim: sequence space exhausted")
 	}
 	i := e.alloc()
-	s.gen, s.live = uint32(e.seq), true
+	s.at, s.seq, s.live = at, e.seq, true
 	e.slots[i] = s
-	x := entry{at, e.seq<<slotBits | uint64(i)}
 	e.seq++
-	// Its seq is the newest, so only a strictly earlier time lifts it.
-	j := len(e.queue)
-	e.queue = append(e.queue, x)
-	for ; j > 0 && x.at < e.queue[(j-1)/4].at; j = (j - 1) / 4 {
-		e.queue[j] = e.queue[(j-1)/4]
+	e.queued++
+	e.place(i)
+	return Handle{e, uint64(uint32(s.seq))<<32 | uint64(i)}
+}
+
+// place puts the live event in slot i into the tier its bucket belongs to.
+func (e *Engine) place(i int) {
+	s := &e.slots[i]
+	s.next = 0
+	b := int64(s.at) >> bucketShift
+	switch ahead := b>>ringBits - e.cur>>ringBits; {
+	case b <= e.cur:
+		e.heap.push(entry{s.at, s.seq<<slotBits | uint64(i)})
+	case ahead == 0:
+		e.near.link(s, i, int(b&ringMask))
+	case ahead < ringSize:
+		e.far.link(s, i, int(b>>ringBits&ringMask))
+	default:
+		e.overflow.push(entry{s.at, s.seq<<slotBits | uint64(i)})
 	}
-	e.queue[j] = x
-	return Handle{e, uint64(s.gen)<<32 | uint64(i)}
+}
+
+// refill moves cur to the earliest non-empty bucket and that bucket's
+// events into the empty heap. It reports false if no event is queued.
+func (e *Engine) refill() bool {
+	for len(e.heap) == 0 {
+		if e.near.occ != 0 {
+			p := bits.TrailingZeros64(e.near.occ)
+			e.cur = e.cur&^ringMask | int64(p)
+			e.requeueList(e.near.take(p))
+			continue
+		}
+		var block int64
+		switch {
+		case e.far.occ != 0:
+			// The far ring's occupied position nearest after cur's block.
+			from := e.cur>>ringBits + 1
+			block = from + int64(bits.TrailingZeros64(bits.RotateLeft64(e.far.occ, -int(from&ringMask))))
+		case len(e.overflow) > 0:
+			block = int64(e.overflow[0].at) >> (bucketShift + ringBits)
+		default:
+			return false
+		}
+		e.enterBlock(block)
+	}
+	return true
+}
+
+// enterBlock moves cur to the first bucket of block, the earliest block
+// with a queued event, once the heap and the near ring are empty: the
+// block's far list spreads into the heap and the near ring, and overflow
+// events now within the far ring's reach move into it.
+func (e *Engine) enterBlock(block int64) {
+	e.cur = block << ringBits
+	e.requeueList(e.far.take(int(block & ringMask)))
+	for len(e.overflow) > 0 && int64(e.overflow[0].at)>>(bucketShift+ringBits) < block+ringSize {
+		e.requeue(e.overflow.pop().slot())
+	}
+}
+
+// requeueList requeues every event of the list whose first slot is
+// first-1.
+func (e *Engine) requeueList(first int32) {
+	for i := first; i != 0; {
+		next := e.slots[i-1].next
+		e.requeue(int(i - 1))
+		i = next
+	}
+}
+
+// requeue places slot i's event anew, or frees the slot if the event was
+// cancelled.
+func (e *Engine) requeue(i int) {
+	if e.slots[i].live {
+		e.place(i)
+	} else {
+		e.drop(i)
+	}
+}
+
+// drop frees the slot of a cancelled event leaving the queue.
+func (e *Engine) drop(i int) {
+	e.release(i)
+	e.cancelled--
 }
 
 // alloc returns the lowest free slot, growing the slab if none is free.
@@ -289,8 +398,10 @@ func (e *Engine) alloc() int {
 	return i
 }
 
-// release frees slot i. A free tail is cut off the slab.
+// release frees slot i of an event leaving the queue. A free tail is cut
+// off the slab.
 func (e *Engine) release(i int) {
+	e.queued--
 	e.slots[i] = slot{}
 	n := len(e.slots) - 1
 	if i != n {
@@ -317,22 +428,95 @@ func shrunk[T any](s []T, div int) []T {
 	return s
 }
 
-// pop removes and returns the heap's minimum entry.
-func (e *Engine) pop() entry {
-	top, n := e.queue[0], len(e.queue)-1
-	last := e.queue[n]
-	e.queue = e.queue[:n]
-	if n > 0 {
-		e.down(0, last)
+// compact drops the cancelled events from every tier and frees their
+// slots: the heaps are filtered and re-heapified in O(n), the ring lists
+// relinked. Cancel runs it once they outnumber live ones, so it costs
+// O(1) amortised per cancel.
+func (e *Engine) compact() {
+	e.heap = e.filter(e.heap)
+	e.overflow = e.filter(e.overflow)
+	e.prune(&e.near)
+	e.prune(&e.far)
+}
+
+// filter returns q without its cancelled entries, re-heapified.
+func (e *Engine) filter(q queue) queue {
+	kept := q[:0]
+	for _, x := range q {
+		if e.slots[x.slot()].live {
+			kept = append(kept, x)
+		} else {
+			e.drop(x.slot())
+		}
 	}
-	// Compaction routinely halves the queue, so it waits for a quarter.
-	e.queue = shrunk(e.queue, 4)
+	kept.init()
+	// Compaction routinely halves a heap, so it waits for a quarter.
+	return shrunk(kept, 4)
+}
+
+// prune drops the cancelled events from every list of r; requeueing
+// puts each live one back in the list it came from.
+func (e *Engine) prune(r *ring) {
+	for w := r.occ; w != 0; w &= w - 1 {
+		e.requeueList(r.take(bits.TrailingZeros64(w)))
+	}
+}
+
+// ring is ringSize lists of queued events, linked through slot.next.
+type ring struct {
+	head [ringSize]int32 // each list's first slot index + 1, 0 if empty
+	occ  uint64          // bit p set: list p is non-empty
+}
+
+// link puts slot i, whose slot is s, at the front of list p.
+func (r *ring) link(s *slot, i, p int) {
+	s.next, r.head[p] = r.head[p], int32(i+1)
+	r.occ |= 1 << p
+}
+
+// take empties list p and returns its first slot index + 1.
+func (r *ring) take(p int) int32 {
+	i := r.head[p]
+	r.head[p], r.occ = 0, r.occ&^(1<<p)
+	return i
+}
+
+// queue is a 4-ary min-heap of entries ordered by (at, key).
+type queue []entry
+
+// push adds x.
+func (q *queue) push(x entry) {
+	j := len(*q)
+	*q = append(*q, x)
+	h := *q
+	for ; j > 0 && x.less(h[(j-1)/4]); j = (j - 1) / 4 {
+		h[j] = h[(j-1)/4]
+	}
+	h[j] = x
+}
+
+// pop removes and returns the minimum entry.
+func (q *queue) pop() entry {
+	h := *q
+	top, n := h[0], len(h)-1
+	last := h[n]
+	h = h[:n]
+	if n > 0 {
+		h.down(0, last)
+	}
+	*q = shrunk(h, 4)
 	return top
 }
 
-// down places x at slot i or below, moving smaller children up.
-func (e *Engine) down(i int, x entry) {
-	q := e.queue
+// init restores the heap order over the whole of q in O(n).
+func (q queue) init() {
+	for i := (len(q) - 2) / 4; len(q) > 1 && i >= 0; i-- {
+		q.down(i, q[i])
+	}
+}
+
+// down places x at position i or below, moving smaller children up.
+func (q queue) down(i int, x entry) {
 	for c := 4*i + 1; c < len(q); c = 4*i + 1 {
 		m := c
 		for j := c + 1; j < c+4 && j < len(q); j++ {
@@ -346,22 +530,4 @@ func (e *Engine) down(i int, x entry) {
 		q[i], i = q[m], m
 	}
 	q[i] = x
-}
-
-// compact drops the cancelled entries, frees their slots and re-heapifies
-// in O(n). Cancel runs it once they outnumber live ones, so it costs O(1)
-// amortised per cancel.
-func (e *Engine) compact() {
-	q := e.queue[:0]
-	for _, x := range e.queue {
-		if e.slots[x.slot()].live {
-			q = append(q, x)
-		} else {
-			e.release(x.slot())
-		}
-	}
-	e.queue, e.cancelled = q, 0
-	for i := (len(q) - 2) / 4; len(q) > 1 && i >= 0; i-- {
-		e.down(i, q[i])
-	}
 }
