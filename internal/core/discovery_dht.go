@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/dht"
@@ -14,9 +16,12 @@ import (
 // Kademlia-style node for routing, and RMs publish one provider record
 // per catalog entry (objects under "obj"/name keys, services under
 // "svc"/key) plus a record under the well-known domain-directory key
-// that every RM shares. Object lookups are exact and bounded by the
-// iterative walk; the directory is cached each republish round so join
-// redirects stay synchronous like gossip's.
+// that every RM shares. Catalog records name only the domain and its
+// RM, so they stay unchanged between catalog edits; the domain's size
+// and load travel in its directory record alone. Object lookups are
+// exact and bounded by the iterative walk; the directory is cached each
+// republish round so join redirects stay synchronous like gossip's, and
+// object lookups rank providers by that cache's load figures.
 type dhtDiscovery struct {
 	p    *Peer
 	node *dht.Node
@@ -86,7 +91,8 @@ func (d *dhtDiscovery) StartRM() {
 
 // CatalogChanged re-advertises only what changed: the keys new to the
 // advertisement set, and the directory record, whose NumPeers may have
-// moved. The periodic round refreshes the other records' load figures.
+// moved. It also re-publishes the keys whose last walk found fewer than
+// K holders; such a call walks again once the routing table has grown.
 func (d *dhtDiscovery) CatalogChanged() {
 	if d.rmOn && d.p.rm != nil {
 		d.advertise(false)
@@ -94,37 +100,41 @@ func (d *dhtDiscovery) CatalogChanged() {
 }
 
 // advertise recomputes the advertisement set from the live domain view,
-// publishes the directory record and either every other record with
-// current load figures (all, the periodic round) or only the keys new to
-// the set, withdraws entries that left the catalog, and refreshes the
-// directory cache.
+// publishes the directory record with the domain's current size and
+// load, publishes either every catalog record (all, the periodic round)
+// or only the keys new to the set or underheld, withdraws entries that
+// left the catalog, and refreshes the directory cache. Publish itself
+// sends nothing for an unchanged record whose holders' copies outlive
+// the next round.
 func (d *dhtDiscovery) advertise(all bool) {
 	p := d.p
 	st := p.rm
 	if st == nil {
 		return
 	}
-	rec := proto.DHTProvider{Domain: st.domain, RM: p.ctx.Self(), NumPeers: len(st.peers)}
+	rec := proto.DHTProvider{Domain: st.domain, RM: p.ctx.Self()}
+	dirRec := rec
+	dirRec.NumPeers = len(st.peers)
 	var utilSum float64
 	for _, rec := range st.peers {
 		utilSum += rec.util()
 	}
 	if len(st.peers) > 0 {
-		rec.AvgUtil = utilSum / float64(len(st.peers))
+		dirRec.AvgUtil = utilSum / float64(len(st.peers))
 	}
 
 	want := make(map[proto.DHTKey]bool, len(d.pub)+1)
 	publish := func(key proto.DHTKey) {
 		if !want[key] {
 			want[key] = true
-			if all || !d.pub[key] {
+			if all || !d.pub[key] || d.node.Underheld(key) {
 				d.node.Publish(key, rec)
 			}
 		}
 	}
 	dirKey := dht.Key(dirKind, dirName)
 	want[dirKey] = true
-	d.node.Publish(dirKey, rec)
+	d.node.Publish(dirKey, dirRec)
 	for _, rec := range st.peers {
 		info := rec.info
 		for _, o := range info.Objects {
@@ -162,27 +172,39 @@ func (d *dhtDiscovery) advertise(all bool) {
 }
 
 // LookupObject runs an iterative lookup under the object's key and picks
-// the advertising domain with the lowest utilization.
+// the advertising domain that the directory cache lists as least
+// utilized.
 func (d *dhtDiscovery) LookupObject(task, object string, tc proto.TraceContext, done func(env.NodeID)) {
 	p := d.p
 	d.node.LookupProviders(dht.Key("obj", object), tc, func(vs []proto.DHTProvider) {
-		target := env.NoNode
-		bestUtil := 0.0
-		for _, v := range vs {
-			if p.rm != nil && v.Domain == p.rm.domain {
-				continue
-			}
-			if target == env.NoNode || v.AvgUtil < bestUtil ||
-				(v.AvgUtil == bestUtil && v.RM < target) {
-				target, bestUtil = v.RM, v.AvgUtil
-			}
+		own := proto.NoDomain
+		if p.rm != nil {
+			own = p.rm.domain
 		}
+		target := leastLoaded(vs, d.dir, own)
 		if tr := p.events.Tracer(); tr != nil {
 			tr.Instant(int64(p.ctx.Now()), task, "dht-lookup", int(p.ctx.Self()), int(p.domain),
 				trace.A("object", object), trace.A("providers", len(vs)))
 		}
 		done(target)
 	})
+}
+
+// leastLoaded returns the RM of the provider, outside domain own, whose
+// domain the directory dir lists with the lowest utilization. A domain
+// missing from dir ranks after every listed one; lowest RM breaks ties.
+func leastLoaded(vs, dir []proto.DHTProvider, own proto.DomainID) env.NodeID {
+	target, best := env.NoNode, 0.0
+	for _, v := range vs {
+		util := math.Inf(1)
+		if i := slices.IndexFunc(dir, func(e proto.DHTProvider) bool { return e.Domain == v.Domain }); i >= 0 {
+			util = dir[i].AvgUtil
+		}
+		if v.Domain != own && (target == env.NoNode || util < best || util == best && v.RM < target) {
+			target, best = v.RM, util
+		}
+	}
+	return target
 }
 
 // RedirectRM answers from the cached directory, mirroring the gossip

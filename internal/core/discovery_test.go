@@ -2,10 +2,13 @@ package core_test
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/cluster"
 	"repro/internal/core"
+	"repro/internal/dht"
+	"repro/internal/env"
 	"repro/internal/media"
 	"repro/internal/proto"
 	"repro/internal/sim"
@@ -87,10 +90,69 @@ func TestInterDomainRedirectDHT(t *testing.T) {
 			t.Fatalf("RM n%d has empty DHT state: %+v", id, d)
 		}
 		// A minute of republish rounds and refresh ticks on a settled
-		// table: the diagnostics show the walks the upkeep skipped.
-		if d.DHT.WalksSaved == 0 || d.DHT.RefreshesSkipped == 0 {
+		// table: the diagnostics show the walks and re-stores the upkeep
+		// skipped.
+		if d.DHT.WalksSaved == 0 || d.DHT.RestoresSkipped == 0 || d.DHT.RefreshesSkipped == 0 {
 			t.Fatalf("RM n%d diag shows no skipped upkeep: %+v", id, d.DHT)
 		}
+	}
+}
+
+// TestUnderheldKeyRewalkedOnCatalogChange: a key its RM published while
+// its routing table held one contact reaches the key's K closest nodes
+// at the RM's next catalog change, not a RepublishPeriod later.
+func TestUnderheldKeyRewalkedOnCatalogChange(t *testing.T) {
+	cfg := core.DefaultConfig()
+	cfg.Discovery = core.DiscoveryDHT
+	cfg.DHT.K = 4
+	cfg.MaxDomainPeers = 2 // later joiners found domains of their own
+	c := cluster.New(cfg, netCfg(), 7)
+	cat := cluster.StandardCatalog()
+	object := func(name string) media.Object {
+		return media.Object{Name: name, Format: cat.Sources[0], Bytes: 1 << 20}
+	}
+	info := fixedInfo()
+	info.Objects = []media.Object{object("lone")}
+	rm := c.AddFounder(info)
+	c.AddPeer(fixedInfo(), rm)
+	c.RunUntil(500 * sim.Millisecond)
+	if n := c.Peer(rm).DiscoveryDiag().TableSize; n != 1 {
+		t.Fatalf("RM routing table holds %d contacts after its first join, want 1", n)
+	}
+	for i := 0; i < 10; i++ {
+		c.AddPeer(fixedInfo(), rm)
+		c.RunUntil(c.Eng.Now() + 400*sim.Millisecond)
+	}
+	key, dom := dht.Key("obj", "lone"), c.Peer(rm).Domain()
+	var others []env.NodeID
+	for _, id := range c.IDs() {
+		if id != rm {
+			others = append(others, id)
+		}
+	}
+	slices.SortFunc(others, func(a, b env.NodeID) int {
+		if dht.CloserTo(key, dht.NodeKey(a), dht.NodeKey(b)) {
+			return -1
+		}
+		return 1
+	})
+	closest := others[:cfg.DHT.K]
+	holding := func() (n int) {
+		for _, id := range closest {
+			if c.Peer(id).DHTHolds(key, dom) {
+				n++
+			}
+		}
+		return n
+	}
+	// The first periodic round is 10 s after the RM started.
+	if n := holding(); n == len(closest) {
+		t.Fatalf("at %v the %d closest nodes already hold the key; the test shows nothing", c.Eng.Now(), n)
+	}
+	c.Eng.At(c.Eng.Now(), func() { c.Peer(rm).AddObject(object("another")) })
+	c.RunUntil(c.Eng.Now() + sim.Second)
+	if n := holding(); n != len(closest) {
+		t.Fatalf("a second after the catalog change %d of the key's %d closest nodes hold it", n, len(closest))
 	}
 }
 

@@ -103,3 +103,18 @@ func checkAscending[K cmp.Ordered, R keyed[K]](what string, t table[K, R]) error
 	}
 	return nil
 }
+
+// DHTHolds reports whether the peer's DHT store holds an unexpired
+// record of domain dom under key.
+func (p *Peer) DHTHolds(key proto.DHTKey, dom proto.DomainID) bool {
+	d, ok := p.disc.(*dhtDiscovery)
+	if !ok {
+		return false
+	}
+	for _, v := range d.node.StoreDiag().Get(key, p.ctx.Now()) {
+		if v.Domain == dom {
+			return true
+		}
+	}
+	return false
+}

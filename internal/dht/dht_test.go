@@ -1,6 +1,7 @@
 package dht
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/env"
@@ -56,6 +57,9 @@ func TestXORMetric(t *testing.T) {
 	}
 }
 
+// TestTableLRUAndFullBucket: a full bucket refuses a newcomer and keeps
+// its occupants, hearing from an occupant again changes nothing, and a
+// removed occupant's slot goes to the next newcomer.
 func TestTableLRUAndFullBucket(t *testing.T) {
 	tb := NewTable(0, 2)
 	// Find three nodes sharing one bucket relative to node 0.
@@ -72,30 +76,20 @@ func TestTableLRUAndFullBucket(t *testing.T) {
 	if len(ids) < 3 {
 		t.Fatal("could not find three same-bucket nodes")
 	}
-	for _, id := range ids[:2] {
-		if ev, full := tb.Update(id); full {
-			t.Fatalf("bucket full early (evict %d)", ev)
-		}
-	}
-	// Third insert: bucket full, LRU head (ids[0]) surfaces.
-	ev, full := tb.Update(ids[2])
-	if !full || ev != ids[0] {
-		t.Fatalf("Update = (%d, %v), want (%d, true)", ev, full, ids[0])
-	}
-	if tb.Contains(ids[2]) {
-		t.Fatal("newcomer inserted before arbitration")
-	}
-	// Refreshing ids[0] moves it to most-recently-seen: ids[1] becomes
-	// the next eviction candidate.
 	tb.Update(ids[0])
-	if ev, full = tb.Update(ids[2]); !full || ev != ids[1] {
-		t.Fatalf("after refresh Update = (%d, %v), want (%d, true)", ev, full, ids[1])
+	tb.Update(ids[1])
+	tb.Update(ids[2]) // bucket full: refused
+	if tb.Contains(ids[2]) || !tb.Contains(ids[0]) || !tb.Contains(ids[1]) {
+		t.Fatal("a full bucket let a newcomer in or lost an occupant")
 	}
-	// Ping timeout path: Remove frees the slot.
+	before := slices.Clone(tb.buckets[want])
+	tb.Update(ids[0])
+	if !slices.Equal(tb.buckets[want], before) || tb.gen != 2 {
+		t.Fatalf("hearing from an occupant changed the bucket: %v, was %v (gen %d)", tb.buckets[want], before, tb.gen)
+	}
+	// An RPC timeout removes ids[1]; the next newcomer takes the slot.
 	tb.Remove(ids[1])
-	if ev, full = tb.Update(ids[2]); full {
-		t.Fatalf("insert into freed slot reported full (evict %d)", ev)
-	}
+	tb.Update(ids[2])
 	if !tb.Contains(ids[2]) || tb.Contains(ids[1]) {
 		t.Fatal("replacement not applied")
 	}

@@ -1,8 +1,8 @@
 // Package dht implements a Kademlia-style structured overlay for
 // inter-domain discovery: 160-bit XOR-metric keys, k-bucket routing
-// tables with least-recently-seen eviction gated on liveness pings,
+// tables whose contacts leave only when an RPC to them times out,
 // iterative parallel lookup (α concurrent probes), and TTL'd provider
-// records with publisher-side republish.
+// records that publishers re-store before they expire.
 //
 // The package is determinism-critical: it runs under the discrete-event
 // simulator and must keep equal-seed runs byte-identical. All time

@@ -19,13 +19,15 @@ type Config struct {
 	// republish faster than this or their records vanish under them.
 	ProviderTTL sim.Time
 	// RepublishPeriod is the publishers' re-Publish cadence. The node
-	// itself keeps no republish timer; its owner calls Publish again.
+	// itself keeps no republish timer; its owner calls Publish again,
+	// and a call re-stores an unchanged record only when the holders'
+	// copies would expire before the next one.
 	RepublishPeriod sim.Time
 	// RefreshPeriod sweeps expired provider records and draws a random
 	// key, walking it when its bucket went untouched for a whole period.
 	RefreshPeriod sim.Time
 	// RPCTimeout bounds one request/response exchange; a contact that
-	// misses it is removed from the routing table.
+	// misses it is removed from the routing table, which frees its slot.
 	RPCTimeout sim.Time
 }
 
@@ -73,6 +75,10 @@ type Stats struct {
 	// WalksSaved counts Publish calls that stored straight to the
 	// holders of the key's last walk instead of walking again.
 	WalksSaved uint64
+	// RestoresSkipped counts Publish calls that sent nothing: the value
+	// was unchanged, its holders current, and their copies outlive the
+	// next round.
+	RestoresSkipped uint64
 	// RefreshesSkipped counts refresh ticks whose random key fell in a
 	// bucket that a lookup or a contact had touched within the period.
 	RefreshesSkipped uint64
@@ -90,13 +96,8 @@ type Node struct {
 	published map[proto.DHTKey]*publication
 	nextRPC   uint64
 	calls     map[uint64]*pendingCall
-	// pendingPing maps an eviction candidate under liveness probe to the
-	// newcomer waiting for its slot; further newcomers for the same slot
-	// are dropped (Kademlia keeps old contacts).
-	pendingPing map[env.NodeID]env.NodeID
-	cancels     []env.Cancel
-	stopped     bool
-	stats       Stats
+	cancels   []env.Cancel
+	stats     Stats
 
 	// OnLookupDone, when set, observes every finished provider lookup:
 	// whether any record was found and the elapsed virtual/wall time.
@@ -104,12 +105,14 @@ type Node struct {
 }
 
 // publication is one key this node publishes, with the K-closest set
-// its last walk returned.
+// its last walk returned and what that set was last sent.
 type publication struct {
-	val     proto.DHTProvider
-	holders []env.NodeID // in distance order to the key
-	walked  sim.Time     // when that walk finished
-	gen     uint64       // the table's generation then
+	val     proto.DHTProvider // the latest value published
+	sent    proto.DHTProvider // the value last stored to the holders
+	sentAt  sim.Time          // the Publish call that stored it
+	holders []env.NodeID      // in distance order to the key
+	walked  sim.Time          // when that walk finished
+	gen     uint64            // the table's generation then
 	walking bool
 }
 
@@ -125,13 +128,12 @@ type pendingCall struct {
 func NewNode(ctx env.Context, cfg Config) *Node {
 	cfg = cfg.withDefaults()
 	return &Node{
-		ctx:         ctx,
-		cfg:         cfg,
-		table:       NewTable(ctx.Self(), cfg.K),
-		store:       NewStore(),
-		published:   make(map[proto.DHTKey]*publication),
-		calls:       make(map[uint64]*pendingCall),
-		pendingPing: make(map[env.NodeID]env.NodeID),
+		ctx:       ctx,
+		cfg:       cfg,
+		table:     NewTable(ctx.Self(), cfg.K),
+		store:     NewStore(),
+		published: make(map[proto.DHTKey]*publication),
+		calls:     make(map[uint64]*pendingCall),
 	}
 }
 
@@ -155,7 +157,7 @@ func (n *Node) Seed(ids ...env.NodeID) {
 		if id == env.NoNode || id == n.ctx.Self() {
 			continue
 		}
-		n.observe(id)
+		n.table.Update(id)
 		added = true
 	}
 	if added {
@@ -189,7 +191,6 @@ func (n *Node) refresh() {
 // Stop cancels timers and outstanding RPC timeouts. The node must not
 // be used afterwards.
 func (n *Node) Stop() {
-	n.stopped = true
 	for _, c := range n.cancels {
 		c.Cancel()
 	}
@@ -217,23 +218,23 @@ func sortedRPCs(m map[uint64]*pendingCall) []uint64 {
 func (n *Node) HandleMessage(from env.NodeID, m env.Message) bool {
 	switch v := m.(type) {
 	case proto.FindNode:
-		n.observe(from)
+		n.table.Update(from)
 		n.ctx.Send(from, proto.Nodes{RPC: v.RPC, IDs: n.table.Closest(v.Target, n.cfg.K)})
 	case proto.FindValue:
-		n.observe(from)
+		n.table.Update(from)
 		n.ctx.Send(from, proto.Providers{
 			RPC:    v.RPC,
 			Values: n.store.Get(v.Key, n.ctx.Now()),
 			IDs:    n.table.Closest(v.Key, n.cfg.K),
 		})
 	case proto.Store:
-		n.observe(from)
+		n.table.Update(from)
 		n.store.Put(v.Key, v.Provider, n.ctx.Now(), n.cfg.ProviderTTL)
 	case proto.Nodes:
-		n.observe(from)
+		n.table.Update(from)
 		n.resolve(v.RPC, v.IDs, nil)
 	case proto.Providers:
-		n.observe(from)
+		n.table.Update(from)
 		n.resolve(v.RPC, v.IDs, v.Values)
 	default:
 		return false
@@ -245,10 +246,14 @@ func (n *Node) HandleMessage(from env.NodeID, m env.Message) bool {
 // nodes. The owner calls it again every RepublishPeriod to keep the
 // record alive, until Unpublish. A call stores straight to the holders
 // the key's last walk found while that set is still current (see
-// current); otherwise it walks again first. While a walk is in flight,
-// a call only updates the value that walk will store.
+// current); otherwise it walks again first. A call whose value is the
+// one those holders were last sent, while the set is current, sends
+// nothing until their copies would expire before the next call: records
+// are re-stored to beat expiry, not every round (Kademlia §2.5). While a
+// walk is in flight, a call only updates the value that walk will store.
 func (n *Node) Publish(key proto.DHTKey, v proto.DHTProvider) {
-	n.store.Put(key, v, n.ctx.Now(), n.cfg.ProviderTTL)
+	now := n.ctx.Now()
+	n.store.Put(key, v, now, n.cfg.ProviderTTL)
 	p := n.published[key]
 	if p == nil {
 		p = &publication{}
@@ -258,19 +263,29 @@ func (n *Node) Publish(key proto.DHTKey, v proto.DHTProvider) {
 	switch {
 	case p.walking:
 		// The walk stores p.val when it lands.
-	case n.current(key, p):
-		n.stats.WalksSaved++
-		n.storeTo(key, v, p.holders)
-	default:
+	case !n.current(key, p):
 		p.walking = true
 		n.lookup(key, false, proto.TraceContext{}, func(ids []env.NodeID, _ []proto.DHTProvider) {
 			p.walking = false
 			p.holders, p.walked, p.gen = ids, n.ctx.Now(), n.table.gen
 			if n.published[key] == p {
-				n.storeTo(key, p.val, ids)
+				n.storeTo(key, p, now)
 			}
 		})
+	case v == p.sent && p.sentAt+n.cfg.ProviderTTL > now+n.cfg.RepublishPeriod:
+		n.stats.RestoresSkipped++
+	default:
+		n.stats.WalksSaved++
+		n.storeTo(key, p, now)
 	}
+}
+
+// Underheld reports whether the last walk for a published key found
+// fewer than K holders: it ran from a table too small to know the key's
+// K closest nodes, or it has not landed yet.
+func (n *Node) Underheld(key proto.DHTKey) bool {
+	p := n.published[key]
+	return p != nil && len(p.holders) < n.cfg.K
 }
 
 // current reports whether the holders of p's last walk are still the K
@@ -332,43 +347,15 @@ func (n *Node) LookupNode(target proto.DHTKey, done func([]env.NodeID)) {
 	})
 }
 
-// storeTo hands each holder a copy of the record.
-func (n *Node) storeTo(key proto.DHTKey, v proto.DHTProvider, holders []env.NodeID) {
-	for _, id := range holders {
+// storeTo hands each of p's holders a copy of its latest value, on
+// behalf of the Publish call made at the given time. A walk's STOREs
+// leave after that call, so their copies outlive what p records.
+func (n *Node) storeTo(key proto.DHTKey, p *publication, at sim.Time) {
+	p.sent, p.sentAt = p.val, at
+	for _, id := range p.holders {
 		n.stats.StoresSent++
-		n.ctx.Send(id, proto.Store{Key: key, Provider: v})
+		n.ctx.Send(id, proto.Store{Key: key, Provider: p.val})
 	}
-}
-
-// observe feeds routing-table evidence that node is alive, running the
-// full-bucket arbitration: the least-recently-seen occupant gets a
-// liveness probe, and the newcomer takes its slot only on timeout.
-func (n *Node) observe(node env.NodeID) {
-	if n.stopped {
-		return
-	}
-	evict, full := n.table.Update(node)
-	if !full {
-		return
-	}
-	if _, probing := n.pendingPing[evict]; probing {
-		return // slot already contested; drop this newcomer
-	}
-	n.pendingPing[evict] = node
-	newcomer := node
-	n.call(evict, func(rpc uint64) env.Message {
-		return proto.FindNode{RPC: rpc, Target: n.table.SelfKey()}
-	}, func(_ []env.NodeID, _ []proto.DHTProvider, ok bool) {
-		delete(n.pendingPing, evict)
-		if ok {
-			// The occupant answered; the response's observe already
-			// moved it to most-recently-seen. The newcomer is dropped.
-			return
-		}
-		// Timeout removed the occupant from the table; the newcomer
-		// takes the freed slot.
-		n.table.Update(newcomer)
-	})
 }
 
 // call issues one RPC with a timeout. build receives the assigned RPC

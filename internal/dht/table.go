@@ -58,11 +58,13 @@ func (a ranked) before(b ranked) bool {
 }
 
 // Table is a Kademlia routing table: one bucket per distance bit, each
-// holding up to k contacts ordered least- to most-recently seen. The
-// table itself never evicts a live contact — when a bucket is full,
-// Update surfaces the least-recently-seen entry so the owning Node can
-// liveness-ping it and decide (Kademlia's "old contacts stay unless
-// proven dead" rule, which biases the table toward long-lived peers).
+// holding up to k contacts. A full bucket refuses newcomers and never
+// evicts a contact that still answers: a contact leaves only when its
+// owner removes it after an RPC to it timed out, and the next newcomer
+// heard in that bucket takes the slot. Kademlia's "old contacts stay"
+// rule biases the table toward long-lived peers; as in its §4.1, no
+// liveness probe goes out before there is a useful message to send, so
+// the table needs no least-recently-seen order.
 // Like the Node that owns it, a Table is confined to one event loop:
 // Closest reuses a scratch buffer across calls.
 type Table struct {
@@ -70,7 +72,7 @@ type Table struct {
 	self    proto.DHTKey
 	k       int
 	n       int
-	buckets [KeyBits][]contact // index 0 = closest half-space; front = oldest
+	buckets [KeyBits][]contact // index 0 = closest half-space
 	scratch []ranked
 	// gen counts every insert and remove, and nothing else, so a cached
 	// lookup result can tell whether the table it was walked from still
@@ -140,37 +142,25 @@ func (t *Table) Contains(node env.NodeID) bool {
 }
 
 // Update records fresh evidence that node is alive, and touches its
-// bucket. A known contact moves to most-recently-seen; an unknown
-// contact is inserted when its bucket has room. When the bucket is full
-// the unknown contact is NOT inserted: Update returns the
-// least-recently-seen occupant and full=true, and the caller arbitrates
-// by pinging it (Remove on timeout, Update on ack).
-func (t *Table) Update(node env.NodeID) (evict env.NodeID, full bool) {
+// bucket. An unknown contact is inserted when its bucket has room and
+// refused when it is full.
+func (t *Table) Update(node env.NodeID) {
 	if node == t.selfID || node == env.NoNode {
-		return env.NoNode, false
+		return
 	}
 	i, j, key := t.find(node)
 	if i < 0 {
-		return env.NoNode, false
+		return
 	}
 	t.touch(i)
-	b := t.buckets[i]
-	if j >= 0 {
-		c := b[j]
-		copy(b[j:], b[j+1:])
-		b[len(b)-1] = c
-		return env.NoNode, false
-	}
-	if len(b) < t.k {
+	if b := t.buckets[i]; j < 0 && len(b) < t.k {
 		t.buckets[i] = append(b, contact{id: node, key: key})
 		t.n++
 		t.gen++
-		return env.NoNode, false
 	}
-	return b[0].id, true
 }
 
-// Remove drops a contact (liveness ping timed out, RPC failed).
+// Remove drops a contact whose RPC timed out.
 func (t *Table) Remove(node env.NodeID) {
 	i, j, _ := t.find(node)
 	if j < 0 {

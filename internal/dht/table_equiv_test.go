@@ -36,22 +36,21 @@ func refClosest(t *Table, target proto.DHTKey, n int) []env.NodeID {
 	return out
 }
 
-// tableModel is the plain-map model of a Table: the contacts held, each
-// with the sequence number of its last Update. Contact ids lie in
-// [0, limit), so the model walks them in id order, never in map order.
+// tableModel is the plain-map model of a Table: the set of contacts
+// held. Contact ids lie in [0, limit), so the model walks them in id
+// order, never in map order.
 type tableModel struct {
 	self  env.NodeID
 	k     int
 	limit env.NodeID
-	seen  map[env.NodeID]int // contact -> last-seen sequence number
-	seq   int
+	seen  map[env.NodeID]bool
 }
 
 // held returns the contacts held, in id order.
 func (m *tableModel) held() []env.NodeID {
 	var out []env.NodeID
 	for c := env.NodeID(0); c < m.limit; c++ {
-		if _, ok := m.seen[c]; ok {
+		if m.seen[c] {
 			out = append(out, c)
 		}
 	}
@@ -62,32 +61,23 @@ func (m *tableModel) bucketOf(id env.NodeID) int {
 	return BucketIndex(NodeKey(m.self), NodeKey(id))
 }
 
-// update mirrors Table.Update: refresh, insert, or report the bucket's
-// least-recently-seen contact.
-func (m *tableModel) update(id env.NodeID) (env.NodeID, bool) {
-	if id == m.self || id == env.NoNode {
-		return env.NoNode, false
+// update mirrors Table.Update: insert a newcomer when its bucket has
+// room, and report whether a full bucket refused it.
+func (m *tableModel) update(id env.NodeID) (refused bool) {
+	if id == m.self || id == env.NoNode || m.seen[id] {
+		return false
 	}
-	m.seq++
-	if _, ok := m.seen[id]; ok {
-		m.seen[id] = m.seq
-		return env.NoNode, false
-	}
-	b := m.bucketOf(id)
-	oldest, size := env.NoNode, 0
+	size := 0
 	for _, c := range m.held() {
-		if m.bucketOf(c) == b {
+		if m.bucketOf(c) == m.bucketOf(id) {
 			size++
-			if oldest == env.NoNode || m.seen[c] < m.seen[oldest] {
-				oldest = c
-			}
 		}
 	}
-	if size < m.k {
-		m.seen[id] = m.seq
-		return env.NoNode, false
+	if size == m.k {
+		return true
 	}
-	return oldest, true
+	m.seen[id] = true
+	return false
 }
 
 func (m *tableModel) bucketSizes() [][2]int {
@@ -139,7 +129,7 @@ func checkTableAgainstModel(t *testing.T, r *rng.Rand, k int) opCounts {
 	}
 	ops := 1 + r.Intn(600)
 	pool := 2 + ops/2 // ids are drawn from a pool smaller than ops, so refreshes happen
-	m := &tableModel{self: self, k: k, limit: env.NodeID(pool + 10), seen: map[env.NodeID]int{}}
+	m := &tableModel{self: self, k: k, limit: env.NodeID(pool + 10), seen: map[env.NodeID]bool{}}
 	var removed env.NodeID = env.NoNode
 	for op := 0; op < ops; op++ {
 		var id env.NodeID
@@ -161,15 +151,11 @@ func checkTableAgainstModel(t *testing.T, r *rng.Rand, k int) opCounts {
 			case r.Bool(0.01):
 				id = env.NoNode
 			}
-			if _, ok := m.seen[id]; ok {
+			if m.seen[id] {
 				counts.refreshed++
 			}
-			gotEvict, gotFull := tb.Update(id)
-			wantEvict, wantFull := m.update(id)
-			if gotEvict != wantEvict || gotFull != wantFull {
-				t.Fatalf("op %d: Update(%d) = (%d, %v), model (%d, %v)", op, id, gotEvict, gotFull, wantEvict, wantFull)
-			}
-			if gotFull {
+			tb.Update(id)
+			if m.update(id) {
 				counts.refused++
 			}
 		}
@@ -178,7 +164,7 @@ func checkTableAgainstModel(t *testing.T, r *rng.Rand, k int) opCounts {
 			t.Fatalf("op %d: Len = %d, model %d", op, tb.Len(), len(m.seen))
 		}
 		for _, c := range []env.NodeID{id, removed, self} {
-			_, held := m.seen[c]
+			held := m.seen[c]
 			if tb.Contains(c) != held {
 				t.Fatalf("op %d: Contains(%d) = %v, model %v", op, c, !held, held)
 			}

@@ -30,8 +30,11 @@ func upkeepKeys(n int) []proto.DHTKey {
 }
 
 // TestRepublishReusesHolders: once a key's walk has found its K closest
-// nodes, a republish round with the routing table unchanged stores
-// straight to them, K STOREs per key and no RPC at all.
+// nodes and the routing table stands, the publisher's rounds alternate.
+// A round whose holders' copies outlive the next one sends nothing; the
+// round after stores straight to the cached holders, K STOREs per key
+// and no walk; a round once the walk is ProviderTTL old walks again
+// and stores to what it finds.
 func TestRepublishReusesHolders(t *testing.T) {
 	s := converged(t, 11)
 	pub := s.actors[5]
@@ -39,27 +42,34 @@ func TestRepublishReusesHolders(t *testing.T) {
 	for _, k := range keys {
 		pub.publish(k, proto.DHTProvider{Domain: 1, RM: 5})
 	}
-	s.run(3 * sim.Second) // the first round's walks land
+	s.run(3 * sim.Second) // the first walks land
 	n := pub.node
 	for _, k := range keys {
 		if got := len(n.published[k].holders); got != DefaultK {
 			t.Fatalf("key %x: walk found %d holders, want %d", k[:4], got, DefaultK)
 		}
 	}
-	gen, before := n.Table().gen, n.Stats()
-	pub.republish()
-	after := n.Stats()
+	gen := n.Table().gen
+	type round struct{ stores, saved, skipped uint64 }
+	all, each := uint64(DefaultK*len(keys)), uint64(len(keys))
+	// The publisher's rounds fall at 70, 80, 90 and 100 s; the keys were
+	// published and walked at 60 s.
+	want := []round{{0, 0, each}, {all, each, 0}, {0, 0, each}, {all, 0, 0}}
+	for i, w := range want {
+		before := n.Stats()
+		s.run(DefaultRepublishPeriod)
+		after := n.Stats()
+		got := round{
+			after.StoresSent - before.StoresSent,
+			after.WalksSaved - before.WalksSaved,
+			after.RestoresSkipped - before.RestoresSkipped,
+		}
+		if got != w {
+			t.Errorf("round %d: %+v, want %+v", i+1, got, w)
+		}
+	}
 	if n.Table().gen != gen {
-		t.Fatal("routing table changed during the round; the swarm has not converged")
-	}
-	if d := after.RPCsSent - before.RPCsSent; d != 0 {
-		t.Errorf("second round sent %d RPCs, want none", d)
-	}
-	if d, want := after.StoresSent-before.StoresSent, uint64(DefaultK*len(keys)); d != want {
-		t.Errorf("second round sent %d STOREs, want %d", d, want)
-	}
-	if d := after.WalksSaved - before.WalksSaved; d != uint64(len(keys)) {
-		t.Errorf("WalksSaved rose by %d, want %d", d, len(keys))
+		t.Fatal("routing table changed during the rounds; the swarm has not converged")
 	}
 }
 
@@ -331,5 +341,98 @@ func TestPublishedKeysFindableUnderChurn(t *testing.T) {
 	}
 	if saved == 0 {
 		t.Fatal("no round reused a holder set; the churn test exercised only walks")
+	}
+}
+
+// fullBucket returns a node of s with a full bucket i, and a swarm node
+// in that bucket's range that the node's table lacks.
+func fullBucket(t *testing.T, s *swarm) (n *Node, i int, newcomer env.NodeID) {
+	t.Helper()
+	for _, a := range s.actors {
+		tb := a.node.Table()
+		for id := range s.actors {
+			i := BucketIndex(tb.SelfKey(), NodeKey(env.NodeID(id)))
+			if i >= 0 && len(tb.buckets[i]) == DefaultK && !tb.Contains(env.NodeID(id)) {
+				return a.node, i, env.NodeID(id)
+			}
+		}
+	}
+	t.Fatal("no node has a full bucket with a swarm node outside it")
+	return nil, 0, env.NoNode
+}
+
+// TestFullBucketSendsNoPing: a node whose bucket is full answers a
+// request from a node the bucket lacks and sends nothing else. The
+// newcomer stays out and the occupants stay as they were.
+func TestFullBucketSendsNoPing(t *testing.T) {
+	s := converged(t, 18)
+	n, i, newcomer := fullBucket(t, s)
+	occupants := slices.Clone(n.Table().buckets[i])
+	sent, rpcs := s.net.Stats().Sent, n.Stats().RPCsSent
+	n.HandleMessage(newcomer, proto.FindNode{RPC: 1, Target: Key("obj", "x")})
+	if d := s.net.Stats().Sent - sent; d != 1 {
+		t.Fatalf("hearing a newcomer in a full bucket sent %d messages, want only the answer", d)
+	}
+	if n.Stats().RPCsSent != rpcs {
+		t.Fatal("hearing a newcomer in a full bucket started an RPC")
+	}
+	if n.Table().Contains(newcomer) || !slices.Equal(n.Table().buckets[i], occupants) {
+		t.Fatalf("full bucket changed: %v, was %v", n.Table().buckets[i], occupants)
+	}
+}
+
+// TestTimedOutOccupantFreesSlot: an occupant of a full bucket whose RPC
+// times out leaves the table, and the next newcomer heard in that
+// bucket takes its slot.
+func TestTimedOutOccupantFreesSlot(t *testing.T) {
+	s := converged(t, 19)
+	n, i, newcomer := fullBucket(t, s)
+	occupant := n.Table().buckets[i][0].id
+	s.net.Crash(occupant)
+	timedOut := false
+	n.call(occupant, func(rpc uint64) env.Message {
+		return proto.FindNode{RPC: rpc, Target: n.Table().SelfKey()}
+	}, func(_ []env.NodeID, _ []proto.DHTProvider, ok bool) { timedOut = !ok })
+	s.run(DefaultRPCTimeout + sim.Second)
+	if !timedOut || n.Table().Contains(occupant) {
+		t.Fatalf("timed out %v, occupant %d still held %v", timedOut, occupant, n.Table().Contains(occupant))
+	}
+	if got := len(n.Table().buckets[i]); got != DefaultK-1 {
+		t.Fatalf("bucket holds %d contacts after the timeout, want %d", got, DefaultK-1)
+	}
+	n.HandleMessage(newcomer, proto.FindNode{RPC: 1, Target: Key("obj", "x")})
+	if !n.Table().Contains(newcomer) {
+		t.Fatal("the newcomer did not take the freed slot")
+	}
+}
+
+// TestStaticRecordNeverLapses: a record republished unchanged every
+// round for four TTLs is in every holder's store at every second, and
+// costs the first walk's K STOREs, then K per ProviderTTL −
+// RepublishPeriod.
+func TestStaticRecordNeverLapses(t *testing.T) {
+	s := converged(t, 20)
+	pub := s.actors[5]
+	n := pub.node
+	key := upkeepKeys(1)[0]
+	v := proto.DHTProvider{Domain: 1, RM: 5}
+	pub.publish(key, v)
+	const span = 4 * DefaultProviderTTL
+	// Half a period past the span, so no count falls on a round.
+	for at := sim.Time(0); at < span+DefaultRepublishPeriod/2; at += sim.Second {
+		s.run(sim.Second)
+		holders := n.published[key].holders
+		if len(holders) != DefaultK {
+			t.Fatalf("%v after publishing: %d holders, want %d", at+sim.Second, len(holders), DefaultK)
+		}
+		for _, h := range holders {
+			if got := s.actors[h].node.StoreDiag().Get(key, s.eng.Now()); !slices.Equal(got, []proto.DHTProvider{v}) {
+				t.Fatalf("%v after publishing: holder %d stores %v, want [%v]", at+sim.Second, h, got, v)
+			}
+		}
+	}
+	want := uint64(DefaultK) * uint64(1+span/(DefaultProviderTTL-DefaultRepublishPeriod))
+	if got := n.Stats().StoresSent; got != want {
+		t.Fatalf("%d STOREs over four TTLs, want %d", got, want)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"slices"
 	"testing"
+	"time"
 
 	"repro/internal/rng"
 )
@@ -152,10 +153,27 @@ type scriptEngine interface {
 // empty.
 type engineUnderTest struct {
 	*Engine
-	t           *testing.T
+	t           scriptT
 	compactions int
 	emptied     int
 }
+
+// scriptT reports a failed check from the goroutine a script runs on:
+// Fatalf panics with a scriptFailure, which the test goroutine reports.
+type scriptT struct{}
+
+type scriptFailure string
+
+func (scriptT) Helper() {}
+
+func (scriptT) Fatalf(format string, args ...any) {
+	panic(scriptFailure(fmt.Sprintf(format, args...)))
+}
+
+// scriptDeadline bounds one script pair, which takes well under a
+// second: an engine that stops advancing loops inside step, and the
+// test reports it instead of hanging until go test's timeout.
+const scriptDeadline = 30 * time.Second
 
 func (e *engineUnderTest) live() int { return e.Pending() }
 
@@ -460,15 +478,36 @@ func TestEngineMatchesReference(t *testing.T) {
 	for _, shape := range scriptShapes {
 		for seed := uint64(1); seed <= 8; seed++ {
 			ref := &script{shape: shape, r: rng.New(seed), eng: &refEngine{}, check: func() {}}
-			eut := &engineUnderTest{Engine: New(), t: t}
+			eut := &engineUnderTest{Engine: New()}
 			got := &script{shape: shape, r: rng.New(seed), eng: eut, check: eut.check}
 			ref.eng.setTarget(ref.dispatch)
 			got.eng.setTarget(got.dispatch)
 			ref.schedule(0) // every script starts with an event to run
 			got.schedule(0)
 			ref.run()
-			got.run()
-			eut.check()
+			failed := make(chan scriptFailure, 1)
+			go func() {
+				defer func() {
+					if r := recover(); r != nil {
+						f, ok := r.(scriptFailure)
+						if !ok {
+							panic(r)
+						}
+						failed <- f
+					}
+				}()
+				got.run()
+				eut.check()
+				failed <- ""
+			}()
+			select {
+			case f := <-failed:
+				if f != "" {
+					t.Fatalf("%s seed %d: %s", shape.name, seed, f)
+				}
+			case <-time.After(scriptDeadline):
+				t.Fatalf("%s seed %d: script still running after %v: the engine stopped advancing", shape.name, seed, scriptDeadline)
+			}
 			compactions += eut.compactions
 			emptied += eut.emptied
 			if len(ref.log) != len(got.log) {
