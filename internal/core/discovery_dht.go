@@ -13,12 +13,12 @@ import (
 )
 
 // dhtDiscovery is the structured-overlay backend: every peer runs a
-// Kademlia-style node for routing, and RMs publish one provider record
-// per catalog entry (objects under "obj"/name keys, services under
-// "svc"/key) plus a record under the well-known domain-directory key
-// that every RM shares. Catalog records name only the domain and its
-// RM, so they stay unchanged between catalog edits; the domain's size
-// and load travel in its directory record alone. Object lookups are
+// Kademlia-style node for routing, and RMs publish only what a lookup
+// reads: one provider record per object name ("obj"/name keys) plus a
+// record under the well-known domain-directory key that every RM
+// shares. Object records name only the domain and its RM, so they stay
+// unchanged between catalog edits; the domain's size and load travel
+// in its directory record alone. Object lookups are
 // exact and bounded by the iterative walk; the directory is cached each
 // republish round so join redirects stay synchronous like gossip's, and
 // object lookups rank providers by that cache's load figures.
@@ -101,8 +101,8 @@ func (d *dhtDiscovery) CatalogChanged() {
 
 // advertise recomputes the advertisement set from the live domain view,
 // publishes the directory record with the domain's current size and
-// load, publishes either every catalog record (all, the periodic round)
-// or only the keys new to the set or underheld, withdraws entries that
+// load, publishes either every object record (all, the periodic round)
+// or only the keys new to the set or underheld, withdraws objects that
 // left the catalog, and refreshes the directory cache. Publish itself
 // sends nothing for an unchanged record whose holders' copies outlive
 // the next round.
@@ -136,12 +136,8 @@ func (d *dhtDiscovery) advertise(all bool) {
 	want[dirKey] = true
 	d.node.Publish(dirKey, dirRec)
 	for _, rec := range st.peers {
-		info := rec.info
-		for _, o := range info.Objects {
+		for _, o := range rec.info.Objects {
 			publish(dht.Key("obj", o.Name))
-		}
-		for _, s := range info.Services {
-			publish(dht.Key("svc", s.Key()))
 		}
 	}
 	var stale []proto.DHTKey
@@ -211,31 +207,20 @@ func leastLoaded(vs, dir []proto.DHTProvider, own proto.DomainID) env.NodeID {
 // backend's preference order: lowest utilization first, lowest node ID
 // breaking ties, domains at capacity skipped.
 func (d *dhtDiscovery) RedirectRM(maxPeers int) env.NodeID {
-	st := d.p.rm
-	type cand struct {
-		rm   env.NodeID
-		util float64
+	own := proto.NoDomain
+	if d.p.rm != nil {
+		own = d.p.rm.domain
 	}
-	var cands []cand
+	target, best := env.NoNode, 0.0
 	for _, v := range d.dir {
-		if st != nil && v.Domain == st.domain {
+		if v.Domain == own || v.NumPeers >= maxPeers {
 			continue
 		}
-		if v.NumPeers >= maxPeers {
-			continue
+		if target == env.NoNode || v.AvgUtil < best || v.AvgUtil == best && v.RM < target {
+			target, best = v.RM, v.AvgUtil
 		}
-		cands = append(cands, cand{v.RM, v.AvgUtil})
 	}
-	if len(cands) == 0 {
-		return env.NoNode
-	}
-	sort.Slice(cands, func(i, j int) bool {
-		if cands[i].util != cands[j].util {
-			return cands[i].util < cands[j].util
-		}
-		return cands[i].rm < cands[j].rm
-	})
-	return cands[0].rm
+	return target
 }
 
 func (d *dhtDiscovery) Diag() DiscoveryDiag {

@@ -98,6 +98,56 @@ func TestInterDomainRedirectDHT(t *testing.T) {
 	}
 }
 
+// TestDHTPublishesOnlyLookupKeys: an RM publishes one record per
+// distinct object name in its domain plus the shared directory record,
+// and nothing for the services its members offer, since no lookup reads
+// them. An object lookup from the other domain still resolves the
+// object's RM.
+func TestDHTPublishesOnlyLookupKeys(t *testing.T) {
+	cfg := core.DefaultConfig()
+	cfg.Discovery = core.DiscoveryDHT
+	c := twoDomains(t, cfg, "obj-远", 2)
+	// A replica on a second member of the founder's domain is one name.
+	cat := cluster.StandardCatalog()
+	c.Eng.At(c.Eng.Now(), func() {
+		c.Peer(1).AddObject(media.Object{Name: "pad-0-0", Format: cat.Sources[0], Bytes: 1 << 20})
+	})
+	c.RunUntil(c.Eng.Now() + 15*sim.Second)
+	if c.Peer(1).Domain() != c.Peer(0).Domain() {
+		t.Fatalf("peers 0 and 1 in domains %d and %d, want one", c.Peer(0).Domain(), c.Peer(1).Domain())
+	}
+	home := c.Peer(6).Domain()
+	var from, to env.NodeID = env.NoNode, env.NoNode
+	for _, rm := range c.RMs() {
+		dom := c.Peer(rm).Domain()
+		names := map[string]bool{}
+		for _, id := range c.IDs() {
+			if c.Peer(id).Domain() == dom {
+				for _, o := range c.Peer(id).Info().Objects {
+					names[o.Name] = true
+				}
+			}
+		}
+		if got, want := c.Peer(rm).DiscoveryDiag().Published, len(names)+1; got != want {
+			t.Errorf("RM n%d of domain %d publishes %d keys, want %d objects + the directory", rm, dom, got, len(names))
+		}
+		if dom == home {
+			to = rm
+		} else {
+			from = rm
+		}
+	}
+	if from == env.NoNode || to == env.NoNode {
+		t.Fatalf("RMs %v: want one in the object's domain and one outside it", c.RMs())
+	}
+	got := env.NoNode
+	c.Eng.At(c.Eng.Now(), func() { c.Peer(from).LookupObject("obj-远", func(rm env.NodeID) { got = rm }) })
+	c.RunUntil(c.Eng.Now() + 5*sim.Second)
+	if got != to {
+		t.Fatalf("lookup from RM n%d resolved obj-远 to n%d, want n%d", from, got, to)
+	}
+}
+
 // TestUnderheldKeyRewalkedOnCatalogChange: a key its RM published while
 // its routing table held one contact reaches the key's K closest nodes
 // at the RM's next catalog change, not a RepublishPeriod later.

@@ -118,3 +118,9 @@ func (p *Peer) DHTHolds(key proto.DHTKey, dom proto.DomainID) bool {
 	}
 	return false
 }
+
+// LookupObject runs the discovery backend's object lookup from this
+// peer and hands done the RM it resolves.
+func (p *Peer) LookupObject(object string, done func(env.NodeID)) {
+	p.disc.LookupObject("", object, proto.TraceContext{}, done)
+}

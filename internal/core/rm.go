@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 
@@ -473,6 +474,9 @@ func (p *Peer) rmHandleHeartbeatAck(from env.NodeID, msg proto.HeartbeatAck) {
 }
 
 // rmHandleProfile folds a member's report into the domain view (§4.4).
+// Reports are untrusted and simulated ones skip the codec, so the check
+// is here: a NaN, infinite or negative figure keeps the previous value
+// (one NaN load would fail every admission in the domain).
 func (p *Peer) rmHandleProfile(from env.NodeID, msg proto.ProfileUpdate) {
 	st := p.rm
 	if st == nil {
@@ -482,12 +486,19 @@ func (p *Peer) rmHandleProfile(from env.NodeID, msg proto.ProfileUpdate) {
 	if !ok {
 		return
 	}
-	rec.load = msg.Report.Load
-	rec.bw = msg.Report.BandwidthKbps
+	if plausible(msg.Report.Load) {
+		rec.load = msg.Report.Load
+	}
+	if plausible(msg.Report.BandwidthKbps) {
+		rec.bw = msg.Report.BandwidthKbps
+	}
 	rec.lastReport = msg.Report.At
 	rec.missed = 0 // a report is as good as a heartbeat ack
 	p.events.emit(fact{kind: kindPeerLoad, domain: st.domain, peer: int(from), load: rec.load, util: rec.util()})
 }
+
+// plausible: finite and non-negative (NaN fails both comparisons).
+func plausible(x float64) bool { return x >= 0 && x <= math.MaxFloat64 }
 
 // rmOwnProfileTick refreshes the RM's own record directly.
 func (p *Peer) rmOwnProfileTick() {

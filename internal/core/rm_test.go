@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -114,6 +115,32 @@ func TestFailedMigrationProbeLeavesBookUnchanged(t *testing.T) {
 		if after[id] != load {
 			t.Errorf("n%d: booked %.6f before the failed probe, %.6f after", id, load, after[id])
 		}
+	}
+}
+
+// A member's profile report is untrusted input: a Load that is NaN,
+// infinite or negative must leave the RM's books as they were, so a task
+// that never touches the member is still admitted and the domain's
+// fairness index stays finite.
+func TestImplausibleProfileReportIgnored(t *testing.T) {
+	for _, bad := range []float64{math.NaN(), math.Inf(1), -1e9} {
+		t.Run(fmt.Sprint(bad), func(t *testing.T) {
+			c, mpeg4, _ := chainDomain(t, bookConfig())
+			rm := c.Peer(0)
+			before, _ := rm.LoadBook()
+			rm.Receive(3, proto.ProfileUpdate{Report: profiler.Report{Peer: 3, At: c.Eng.Now(), Load: bad, BandwidthKbps: bad}})
+			if after, _ := rm.LoadBook(); after[3] != before[3] {
+				t.Fatalf("n3 booked %v after reporting Load %v, want %v kept", after[3], bad, before[3])
+			}
+			c.Submit(c.Eng.Now(), 4, mpeg4)
+			c.RunUntil(c.Eng.Now() + 5*sim.Second)
+			if ev := c.Events.Snapshot(); ev.Admitted != 1 {
+				t.Fatalf("MPEG-4 task on n1+n2: admitted %d, rejected %d; want it admitted", ev.Admitted, ev.Rejected)
+			}
+			if f := rm.DomainFairness(); math.IsNaN(f) || math.IsInf(f, 0) {
+				t.Fatalf("DomainFairness = %v, want finite", f)
+			}
+		})
 	}
 }
 

@@ -40,8 +40,9 @@ func NodeKey(id env.NodeID) proto.DHTKey {
 	return expand(rng.Derive(nodeSalt, uint64(int64(id))))
 }
 
-// Key maps a discovery name (an object or service catalog entry) into
-// the key space. kind partitions the namespaces ("obj", "svc", "dir").
+// Key maps a discovery name into the key space. kind partitions the
+// namespaces: discovery publishes objects under "obj" and the shared
+// domain directory under "dir".
 func Key(kind, name string) proto.DHTKey {
 	// FNV-1a over kind and name, with a separator byte so ("ab","c")
 	// and ("a","bc") differ.

@@ -131,6 +131,7 @@ type liveNode struct {
 
 	// Loop-confined state: written and read only on the node's own
 	// event-loop goroutine (no lock needed, like actor state).
+	stopping bool  // inside the Stop hook, whose sends are dropped
 	now      int64 // latched clock for the envelope being dispatched
 	timerSeq uint64
 	recN     int       // envelopes dispatched since the last digest record
@@ -183,31 +184,21 @@ func (rt *Runtime) node(id env.NodeID) *liveNode {
 }
 
 // Stop shuts one node down gracefully and waits for its loop to exit.
-func (rt *Runtime) Stop(id env.NodeID) {
-	n := rt.node(id)
-	if n == nil || !n.stopped.CompareAndSwap(false, true) {
-		return
-	}
-	close(n.quit)
-	<-n.done
-	if rs := rt.enterRec(); rs != nil {
-		d, ok := digestOf(n.actor)
-		rs.rec.RecordStop(id, rt.nowMicros(), d, ok)
-		rs.mu.RUnlock()
-	}
-	rt.mu.Lock()
-	delete(rt.nodes, id)
-	rt.mu.Unlock()
-}
+func (rt *Runtime) Stop(id env.NodeID) { rt.halt(id, false) }
 
 // Kill terminates a node abruptly: no Stop hook runs, mirroring
 // netsim.Crash. Pending mailbox work is discarded.
-func (rt *Runtime) Kill(id env.NodeID) {
+func (rt *Runtime) Kill(id env.NodeID) { rt.halt(id, true) }
+
+// halt ends a node's loop, waits for it and records the stop or kill.
+func (rt *Runtime) halt(id env.NodeID, kill bool) {
 	n := rt.node(id)
 	if n == nil {
 		return
 	}
-	n.killed.Store(true)
+	if kill {
+		n.killed.Store(true)
+	}
 	if !n.stopped.CompareAndSwap(false, true) {
 		return
 	}
@@ -215,7 +206,11 @@ func (rt *Runtime) Kill(id env.NodeID) {
 	<-n.done
 	if rs := rt.enterRec(); rs != nil {
 		d, ok := digestOf(n.actor)
-		rs.rec.RecordKill(id, rt.nowMicros(), d, ok)
+		if kill {
+			rs.rec.RecordKill(id, rt.nowMicros(), d, ok)
+		} else {
+			rs.rec.RecordStop(id, rt.nowMicros(), d, ok)
+		}
 		rs.mu.RUnlock()
 	}
 	rt.mu.Lock()
@@ -396,6 +391,7 @@ func (n *liveNode) loop() {
 		select {
 		case <-n.quit:
 			if !n.killed.Load() {
+				n.stopping = true
 				n.actor.Stop()
 			}
 			return
@@ -496,9 +492,10 @@ func (n *liveNode) After(d sim.Time, fn func()) env.Cancel {
 // unknown IDs go to the remote transport if one is attached. Sends are
 // a node's observable output: the recorder logs (to, type) so the
 // replayer can compare the replayed send sequence against the live one
-// (replay:recorded).
+// (replay:recorded). Only the Stop hook's sends are dropped, as replay
+// drops them; a handler still running when Stop is called sends.
 func (n *liveNode) Send(to env.NodeID, m env.Message) {
-	if n.stopped.Load() {
+	if n.stopping {
 		return
 	}
 	if n.rs != nil {

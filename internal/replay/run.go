@@ -145,9 +145,9 @@ func (n *replayNode) Logf(format string, args ...any) {
 func (n *replayNode) Send(to env.NodeID, m env.Message) {
 	rp := n.rp
 	if n.stopping {
-		// The live runtime flips the node's stopped flag before running
-		// the Stop hook, so Stop-time sends never leave the node (or reach
-		// the recorder). Mirror that: don't compare, don't count.
+		// The live runtime drops the Stop hook's sends, so they never
+		// leave the node (or reach the recorder). Mirror that: don't
+		// compare, don't count.
 		return
 	}
 	if rp.res.Diverged != nil {
